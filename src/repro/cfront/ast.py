@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.cfront.ctypes import CType
+from repro.cfront.ctypes import CType, ImplementationProfile, align_of, size_of
 
 
 @dataclass
@@ -74,7 +74,32 @@ class UnaryOp(Expression):
 
 @dataclass
 class SizeofType(Expression):
+    """``sizeof(type-name)``: a ``size_t`` constant, the size of the type."""
+
     type_name: Optional[CType] = None
+
+    def measure(self, profile: ImplementationProfile) -> int:
+        return size_of(self.type_name, profile)
+
+
+@dataclass
+class AlignofType(SizeofType):
+    """``_Alignof(type-name)``: the type's alignment in bytes (§6.5.3.4:3)."""
+
+    def measure(self, profile: ImplementationProfile) -> int:
+        return align_of(self.type_name, profile)
+
+
+#: Binary operator precedence, highest binds tightest; every level associates
+#: left.  The parser climbs this table and the printer parenthesises by it.
+BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
 
 
 @dataclass
@@ -291,6 +316,7 @@ _CHILD_FIELDS = {
     Identifier: (),
     UnaryOp: ("operand",),
     SizeofType: (),
+    AlignofType: (),
     BinaryOp: ("left", "right"),
     Assignment: ("target", "value"),
     Conditional: ("condition", "then", "otherwise"),

@@ -2,6 +2,9 @@
 
 The parser consumes tokens from :mod:`repro.cfront.lexer` and produces the
 AST of :mod:`repro.cfront.ast` with types from :mod:`repro.cfront.ctypes`.
+It never backtracks: at most two tokens of lookahead pick every production,
+and binary expressions are parsed by precedence climbing over
+:data:`repro.cfront.ast.BINARY_PRECEDENCE`.
 
 Supported subset (roughly freestanding C99 minus VLAs, bit-fields,
 designated initializers, and ``_Generic``):
@@ -39,6 +42,7 @@ _QUALIFIER_KEYWORDS = frozenset({"const", "volatile", "restrict"})
 _FUNCTION_SPECIFIERS = frozenset({"inline", "_Noreturn"})
 
 _ASSIGN_OPS = frozenset({"=", "*=", "/=", "%=", "+=", "-=", "<<=", ">>=", "&=", "^=", "|="})
+_UNARY_OPS = frozenset({"&", "*", "+", "-", "~", "!"})
 
 
 class Parser:
@@ -46,7 +50,8 @@ class Parser:
 
     def __init__(self, tokens: list[Token], *, filename: str = "<input>",
                  profile: ct.ImplementationProfile = ct.LP64) -> None:
-        self.tokens = tokens
+        # One more EOF past the end, so one token of lookahead needs no bound.
+        self.tokens = [*tokens, tokens[-1]]
         self.index = 0
         self.filename = filename
         self.profile = profile
@@ -58,10 +63,13 @@ class Parser:
 
     # ------------------------------------------------------------------
     # Token helpers
+    #
+    # Only punctuator tokens are spelled like punctuators and only keyword
+    # tokens like keywords (literal tokens keep their quotes), so a token's
+    # ``text`` alone tells whether it is a given punctuator or keyword.
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.index + offset]
 
     def _next(self) -> Token:
         token = self.tokens[self.index]
@@ -72,27 +80,26 @@ class Parser:
     def _at_eof(self) -> bool:
         return self._peek().kind is TokenKind.EOF
 
-    def _accept_punct(self, *names: str) -> Optional[Token]:
-        if self._peek().is_punct(*names):
-            return self._next()
-        return None
-
-    def _accept_keyword(self, *names: str) -> Optional[Token]:
-        if self._peek().is_keyword(*names):
-            return self._next()
+    def _accept(self, text: str) -> Optional[Token]:
+        token = self.tokens[self.index]
+        if token.text == text:
+            self.index += 1
+            return token
         return None
 
     def _expect_punct(self, name: str) -> Token:
-        token = self._peek()
-        if not token.is_punct(name):
+        token = self.tokens[self.index]
+        if token.text != name:
             raise self._error(f"expected {name!r}, found {token.text!r}")
-        return self._next()
+        self.index += 1
+        return token
 
     def _expect_keyword(self, name: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(name):
+        token = self.tokens[self.index]
+        if token.text != name:
             raise self._error(f"expected keyword {name!r}, found {token.text!r}")
-        return self._next()
+        self.index += 1
+        return token
 
     def _expect_identifier(self) -> Token:
         token = self._peek()
@@ -110,7 +117,7 @@ class Parser:
     def parse_translation_unit(self) -> c_ast.TranslationUnit:
         unit = c_ast.TranslationUnit(line=1, filename=self.filename)
         while not self._at_eof():
-            if self._accept_punct(";"):
+            if self._accept(";"):
                 continue
             unit.declarations.extend(self._parse_external_declaration())
         return unit
@@ -123,7 +130,7 @@ class Parser:
             return [self._parse_static_assert()]
         start = self._peek()
         base_type, storage = self._parse_declaration_specifiers()
-        if self._accept_punct(";"):
+        if self._accept(";"):
             # struct/union/enum declaration with no declarators
             return []
         declarations: list[c_ast.Node] = []
@@ -138,7 +145,7 @@ class Parser:
                 return declarations
             first = False
             initializer = None
-            if self._accept_punct("="):
+            if self._accept("="):
                 initializer = self._parse_initializer()
             if storage == "typedef":
                 if name:
@@ -148,7 +155,7 @@ class Parser:
                     line=start.line, name=name or "", type=full_type,
                     initializer=initializer, storage=storage,
                     is_definition=storage != "extern" or initializer is not None))
-            if self._accept_punct(","):
+            if self._accept(","):
                 continue
             self._expect_punct(";")
             return declarations
@@ -158,7 +165,7 @@ class Parser:
         self._expect_punct("(")
         condition = self._parse_conditional()
         message = ""
-        if self._accept_punct(","):
+        if self._accept(","):
             msg_token = self._next()
             if msg_token.kind is TokenKind.STRING:
                 message = str(msg_token.value)
@@ -272,7 +279,7 @@ class Parser:
             record = ct.UnionType(tag=tag) if is_union else ct.StructType(tag=tag)
             if tag is not None:
                 registry[tag] = record
-        if self._accept_punct("{"):
+        if self._accept("{"):
             fields = self._parse_struct_declaration_list()
             record.complete(tuple(fields))
             self._expect_punct("}")
@@ -284,7 +291,7 @@ class Parser:
             base_type, storage = self._parse_declaration_specifiers()
             if storage is not None:
                 raise self._error("storage class specifier in struct member")
-            if self._accept_punct(";"):
+            if self._accept(";"):
                 continue  # anonymous struct/union member: flattened below
             while True:
                 bit_width: Optional[int] = None
@@ -293,12 +300,12 @@ class Parser:
                     full_type = base_type
                 else:
                     name, full_type, _ = self._parse_declarator(base_type)
-                if self._accept_punct(":"):
+                if self._accept(":"):
                     width_expr = self._parse_conditional()
                     bit_width = self._fold_const(width_expr)
                 if name is not None:
                     fields.append(ct.StructField(name=name, type=full_type, bit_width=bit_width))
-                if not self._accept_punct(","):
+                if not self._accept(","):
                     break
             self._expect_punct(";")
         return fields
@@ -308,13 +315,13 @@ class Parser:
         tag: Optional[str] = None
         if self._peek().kind is TokenKind.IDENTIFIER:
             tag = self._next().text
-        if self._accept_punct("{"):
+        if self._accept("{"):
             enumerators: list[tuple[str, int]] = []
             next_value = 0
             while not self._peek().is_punct("}"):
                 name_token = self._expect_identifier()
                 value = next_value
-                if self._accept_punct("="):
+                if self._accept("="):
                     expr = self._parse_conditional()
                     folded = self._fold_const(expr)
                     if folded is None:
@@ -323,7 +330,7 @@ class Parser:
                 enumerators.append((name_token.text, value))
                 self.enum_constants[name_token.text] = value
                 next_value = value + 1
-                if not self._accept_punct(","):
+                if not self._accept(","):
                     break
             self._expect_punct("}")
             enum_type = ct.EnumType(tag=tag, enumerators=tuple(enumerators))
@@ -372,14 +379,14 @@ class Parser:
         suffixes: list[tuple] = []
         param_names: list[str] = []
         while True:
-            if self._accept_punct("["):
-                if self._accept_punct("]"):
+            if self._accept("["):
+                if self._accept("]"):
                     suffixes.append(("array", None))
                 else:
                     size_expr = self._parse_conditional()
                     self._expect_punct("]")
                     suffixes.append(("array", size_expr))
-            elif self._peek().is_punct("(") and not self._is_call_like_context():
+            elif self._peek().is_punct("("):
                 self._next()
                 params, variadic, names, has_prototype = self._parse_parameter_list()
                 self._expect_punct(")")
@@ -439,8 +446,8 @@ class Parser:
         suffixes: list[tuple] = []
         param_names: list[str] = []
         while True:
-            if self._accept_punct("["):
-                if self._accept_punct("]"):
+            if self._accept("["):
+                if self._accept("]"):
                     suffixes.append(("array", None))
                 else:
                     size_expr = self._parse_conditional()
@@ -493,10 +500,6 @@ class Parser:
             return True
         return False
 
-    def _is_call_like_context(self) -> bool:
-        """Declarators never treat '(' as a call; always False (placeholder)."""
-        return False
-
     def _parse_parameter_list(self) -> tuple[list[ct.CType], bool, list[str], bool]:
         params: list[ct.CType] = []
         names: list[str] = []
@@ -509,7 +512,7 @@ class Parser:
             self._next()
             return params, variadic, names, True
         while True:
-            if self._accept_punct("..."):
+            if self._accept("..."):
                 variadic = True
                 break
             base_type, storage = self._parse_declaration_specifiers()
@@ -518,7 +521,7 @@ class Parser:
             full_type = ct.decay(full_type)
             params.append(full_type)
             names.append(name or "")
-            if not self._accept_punct(","):
+            if not self._accept(","):
                 break
         return params, variadic, names, has_prototype
 
@@ -537,7 +540,7 @@ class Parser:
             items: list[c_ast.Expression] = []
             while not self._peek().is_punct("}"):
                 items.append(self._parse_initializer())
-                if not self._accept_punct(","):
+                if not self._accept(","):
                     break
             self._expect_punct("}")
             return c_ast.InitList(line=token.line, items=items)
@@ -567,12 +570,12 @@ class Parser:
         start = self._peek()
         base_type, storage = self._parse_declaration_specifiers()
         declarations: list[c_ast.Node] = []
-        if self._accept_punct(";"):
+        if self._accept(";"):
             return declarations
         while True:
             name, full_type, _ = self._parse_declarator(base_type)
             initializer = None
-            if self._accept_punct("="):
+            if self._accept("="):
                 initializer = self._parse_initializer()
             if storage == "typedef":
                 if name:
@@ -581,60 +584,61 @@ class Parser:
                 declarations.append(c_ast.Declaration(
                     line=start.line, name=name or "", type=full_type,
                     initializer=initializer, storage=storage))
-            if not self._accept_punct(","):
+            if not self._accept(","):
                 break
         self._expect_punct(";")
         return declarations
 
     def _parse_statement(self) -> c_ast.Statement:
         token = self._peek()
-        if token.is_punct("{"):
+        text = token.text
+        if text == "{":
             return self._parse_compound_statement()
-        if token.is_keyword("if"):
+        if text == "if":
             return self._parse_if()
-        if token.is_keyword("while"):
+        if text == "while":
             return self._parse_while()
-        if token.is_keyword("do"):
+        if text == "do":
             return self._parse_do_while()
-        if token.is_keyword("for"):
+        if text == "for":
             return self._parse_for()
-        if token.is_keyword("return"):
+        if text == "return":
             self._next()
             value = None
-            if not self._peek().is_punct(";"):
+            if self._peek().text != ";":
                 value = self._parse_expression()
             self._expect_punct(";")
             return c_ast.Return(line=token.line, value=value)
-        if token.is_keyword("break"):
+        if text == "break":
             self._next()
             self._expect_punct(";")
             return c_ast.Break(line=token.line)
-        if token.is_keyword("continue"):
+        if text == "continue":
             self._next()
             self._expect_punct(";")
             return c_ast.Continue(line=token.line)
-        if token.is_keyword("switch"):
+        if text == "switch":
             return self._parse_switch()
-        if token.is_keyword("case"):
+        if text == "case":
             self._next()
             expr = self._parse_conditional()
             self._expect_punct(":")
             stmt = self._parse_statement()
             return c_ast.Case(line=token.line, expression=expr, statement=stmt)
-        if token.is_keyword("default"):
+        if text == "default":
             self._next()
             self._expect_punct(":")
             stmt = self._parse_statement()
             return c_ast.Default(line=token.line, statement=stmt)
-        if token.is_keyword("goto"):
+        if text == "goto":
             self._next()
             label = self._expect_identifier().text
             self._expect_punct(";")
             return c_ast.Goto(line=token.line, label=label)
-        if token.is_punct(";"):
+        if text == ";":
             self._next()
             return c_ast.ExpressionStmt(line=token.line, expression=None)
-        if (token.kind is TokenKind.IDENTIFIER and self._peek(1).is_punct(":")):
+        if token.kind is TokenKind.IDENTIFIER and self._peek(1).text == ":":
             self._next()
             self._next()
             stmt = self._parse_statement()
@@ -650,7 +654,7 @@ class Parser:
         self._expect_punct(")")
         then = self._parse_statement()
         otherwise = None
-        if self._accept_keyword("else"):
+        if self._accept("else"):
             otherwise = self._parse_statement()
         return c_ast.If(line=token.line, condition=condition, then=then, otherwise=otherwise)
 
@@ -709,7 +713,7 @@ class Parser:
     # ------------------------------------------------------------------
     def _parse_expression(self) -> c_ast.Expression:
         expr = self._parse_assignment()
-        while self._peek().is_punct(","):
+        while self.tokens[self.index].text == ",":
             token = self._next()
             rhs = self._parse_assignment()
             expr = c_ast.Comma(line=token.line, left=expr, right=rhs)
@@ -717,17 +721,18 @@ class Parser:
 
     def _parse_assignment(self) -> c_ast.Expression:
         left = self._parse_conditional()
-        token = self._peek()
-        if token.kind is TokenKind.PUNCTUATOR and token.text in _ASSIGN_OPS:
-            self._next()
+        token = self.tokens[self.index]
+        if token.text in _ASSIGN_OPS:
+            self.index += 1
             value = self._parse_assignment()
             return c_ast.Assignment(line=token.line, op=token.text, target=left, value=value)
         return left
 
     def _parse_conditional(self) -> c_ast.Expression:
-        condition = self._parse_logical_or()
-        if self._peek().is_punct("?"):
-            token = self._next()
+        condition = self._parse_binary(1)
+        token = self.tokens[self.index]
+        if token.text == "?":
+            self.index += 1
             then = self._parse_expression()
             self._expect_punct(":")
             otherwise = self._parse_conditional()
@@ -735,56 +740,32 @@ class Parser:
                                      then=then, otherwise=otherwise)
         return condition
 
-    def _binary_level(self, operators: tuple[str, ...], next_level) -> c_ast.Expression:
-        expr = next_level()
-        while self._peek().kind is TokenKind.PUNCTUATOR and self._peek().text in operators:
-            token = self._next()
-            rhs = next_level()
+    def _parse_binary(self, min_precedence: int) -> c_ast.Expression:
+        """Precedence climbing: the operand, then every operator binding at
+        least ``min_precedence``, each left-associative."""
+        expr = self._parse_cast()
+        tokens = self.tokens
+        while True:
+            token = tokens[self.index]
+            precedence = c_ast.BINARY_PRECEDENCE.get(token.text, 0)
+            if precedence < min_precedence:
+                return expr
+            self.index += 1
+            rhs = self._parse_binary(precedence + 1)
             expr = c_ast.BinaryOp(line=token.line, op=token.text, left=expr, right=rhs)
-        return expr
-
-    def _parse_logical_or(self) -> c_ast.Expression:
-        return self._binary_level(("||",), self._parse_logical_and)
-
-    def _parse_logical_and(self) -> c_ast.Expression:
-        return self._binary_level(("&&",), self._parse_bitwise_or)
-
-    def _parse_bitwise_or(self) -> c_ast.Expression:
-        return self._binary_level(("|",), self._parse_bitwise_xor)
-
-    def _parse_bitwise_xor(self) -> c_ast.Expression:
-        return self._binary_level(("^",), self._parse_bitwise_and)
-
-    def _parse_bitwise_and(self) -> c_ast.Expression:
-        return self._binary_level(("&",), self._parse_equality)
-
-    def _parse_equality(self) -> c_ast.Expression:
-        return self._binary_level(("==", "!="), self._parse_relational)
-
-    def _parse_relational(self) -> c_ast.Expression:
-        return self._binary_level(("<", ">", "<=", ">="), self._parse_shift)
-
-    def _parse_shift(self) -> c_ast.Expression:
-        return self._binary_level(("<<", ">>"), self._parse_additive)
-
-    def _parse_additive(self) -> c_ast.Expression:
-        return self._binary_level(("+", "-"), self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> c_ast.Expression:
-        return self._binary_level(("*", "/", "%"), self._parse_cast)
 
     def _starts_type_name(self, offset: int = 0) -> bool:
-        token = self._peek(offset)
+        token = self.tokens[self.index + offset]
         if token.kind is TokenKind.KEYWORD:
             return token.text in _TYPE_SPECIFIER_KEYWORDS or token.text in _QUALIFIER_KEYWORDS
         return token.kind is TokenKind.IDENTIFIER and token.text in self.typedefs
 
     def _parse_cast(self) -> c_ast.Expression:
-        if self._peek().is_punct("(") and self._starts_type_name(1):
+        if self.tokens[self.index].text == "(" and self._starts_type_name(1):
             token = self._next()
             target_type = self._parse_type_name()
             self._expect_punct(")")
-            if self._peek().is_punct("{"):
+            if self.tokens[self.index].text == "{":
                 # Compound literal: treat as an initializer-list expression
                 # cast to the target type.
                 init = self._parse_initializer()
@@ -794,104 +775,99 @@ class Parser:
         return self._parse_unary()
 
     def _parse_unary(self) -> c_ast.Expression:
-        token = self._peek()
-        if token.is_punct("++", "--"):
-            self._next()
+        token = self.tokens[self.index]
+        text = token.text
+        if text == "++" or text == "--":
+            self.index += 1
             operand = self._parse_unary()
-            op = "++pre" if token.text == "++" else "--pre"
-            return c_ast.UnaryOp(line=token.line, op=op, operand=operand)
-        if token.is_punct("&", "*", "+", "-", "~", "!"):
-            self._next()
+            return c_ast.UnaryOp(line=token.line, op=text + "pre", operand=operand)
+        if text in _UNARY_OPS:
+            self.index += 1
             operand = self._parse_cast()
-            return c_ast.UnaryOp(line=token.line, op=token.text, operand=operand)
-        if token.is_keyword("sizeof"):
-            self._next()
-            if self._peek().is_punct("(") and self._starts_type_name(1):
-                self._next()
+            return c_ast.UnaryOp(line=token.line, op=text, operand=operand)
+        if text == "sizeof":
+            self.index += 1
+            if self.tokens[self.index].text == "(" and self._starts_type_name(1):
+                self.index += 1
                 type_name = self._parse_type_name()
                 self._expect_punct(")")
                 return c_ast.SizeofType(line=token.line, type_name=type_name)
             operand = self._parse_unary()
             return c_ast.UnaryOp(line=token.line, op="sizeof", operand=operand)
-        if token.is_keyword("_Alignof"):
-            self._next()
+        if text == "_Alignof":
+            self.index += 1
             self._expect_punct("(")
             type_name = self._parse_type_name()
             self._expect_punct(")")
-            node = c_ast.SizeofType(line=token.line, type_name=type_name)
-            node.type_name = type_name
-            return node
+            return c_ast.AlignofType(line=token.line, type_name=type_name)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> c_ast.Expression:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            if token.is_punct("["):
-                self._next()
-                index = self._parse_expression()
+            token = tokens[self.index]
+            text = token.text
+            if text == "[":
+                self.index += 1
+                subscript = self._parse_expression()
                 self._expect_punct("]")
-                expr = c_ast.ArraySubscript(line=token.line, array=expr, index=index)
-            elif token.is_punct("("):
-                self._next()
+                expr = c_ast.ArraySubscript(line=token.line, array=expr, index=subscript)
+            elif text == "(":
+                self.index += 1
                 arguments: list[c_ast.Expression] = []
-                if not self._peek().is_punct(")"):
+                if tokens[self.index].text != ")":
                     arguments.append(self._parse_assignment())
-                    while self._accept_punct(","):
+                    while self._accept(","):
                         arguments.append(self._parse_assignment())
                 self._expect_punct(")")
                 expr = c_ast.Call(line=token.line, function=expr, arguments=arguments)
-            elif token.is_punct("."):
-                self._next()
+            elif text == "." or text == "->":
+                self.index += 1
                 member = self._expect_identifier().text
-                expr = c_ast.Member(line=token.line, object=expr, member=member, arrow=False)
-            elif token.is_punct("->"):
-                self._next()
-                member = self._expect_identifier().text
-                expr = c_ast.Member(line=token.line, object=expr, member=member, arrow=True)
-            elif token.is_punct("++"):
-                self._next()
-                expr = c_ast.UnaryOp(line=token.line, op="++post", operand=expr)
-            elif token.is_punct("--"):
-                self._next()
-                expr = c_ast.UnaryOp(line=token.line, op="--post", operand=expr)
+                expr = c_ast.Member(line=token.line, object=expr, member=member,
+                                    arrow=text == "->")
+            elif text == "++" or text == "--":
+                self.index += 1
+                expr = c_ast.UnaryOp(line=token.line, op=text + "post", operand=expr)
             else:
                 return expr
 
     def _parse_primary(self) -> c_ast.Expression:
-        token = self._peek()
-        if token.kind is TokenKind.INT_CONST:
-            self._next()
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind is TokenKind.IDENTIFIER:
+            self.index += 1
+            if token.text in self.enum_constants:
+                return c_ast.IntegerLiteral(
+                    line=token.line, value=self.enum_constants[token.text], type=ct.INT)
+            return c_ast.Identifier(line=token.line, name=token.text)
+        if kind is TokenKind.INT_CONST:
+            self.index += 1
             constant = token.value
             assert isinstance(constant, IntConstant)
             return c_ast.IntegerLiteral(
                 line=token.line, value=constant.value,
                 type=self._integer_constant_type(constant))
-        if token.kind is TokenKind.FLOAT_CONST:
-            self._next()
+        if kind is TokenKind.FLOAT_CONST:
+            self.index += 1
             constant = token.value
             assert isinstance(constant, FloatConstant)
             ftype = ct.FLOAT if constant.is_float else (
                 ct.LDOUBLE if constant.is_long_double else ct.DOUBLE)
             return c_ast.FloatLiteral(line=token.line, value=constant.value, type=ftype)
-        if token.kind is TokenKind.CHAR_CONST:
-            self._next()
+        if kind is TokenKind.CHAR_CONST:
+            self.index += 1
             return c_ast.CharLiteral(line=token.line, value=int(token.value))
-        if token.kind is TokenKind.STRING:
-            self._next()
+        if kind is TokenKind.STRING:
+            self.index += 1
             text = str(token.value)
             # Adjacent string literals concatenate (§6.4.5).
-            while self._peek().kind is TokenKind.STRING:
+            while self.tokens[self.index].kind is TokenKind.STRING:
                 text += str(self._next().value)
             return c_ast.StringLiteral(line=token.line, value=text)
-        if token.kind is TokenKind.IDENTIFIER:
-            self._next()
-            if token.text in self.enum_constants:
-                return c_ast.IntegerLiteral(
-                    line=token.line, value=self.enum_constants[token.text], type=ct.INT)
-            return c_ast.Identifier(line=token.line, name=token.text)
-        if token.is_punct("("):
-            self._next()
+        if token.text == "(":
+            self.index += 1
             expr = self._parse_expression()
             self._expect_punct(")")
             return expr
@@ -931,7 +907,7 @@ def fold_constant(expr: c_ast.Expression,
         return expr.value
     if isinstance(expr, c_ast.SizeofType) and expr.type_name is not None:
         try:
-            return ct.size_of(expr.type_name, profile)
+            return expr.measure(profile)
         except ct.LayoutError:
             return None
     if isinstance(expr, c_ast.UnaryOp) and expr.operand is not None:

@@ -29,17 +29,9 @@ class PrinterError(ValueError):
     """Raised for AST shapes the printer cannot render faithfully."""
 
 
-#: C operator precedence, highest binds tightest.  Mirrors the parser's
-#: ``_binary_level`` tower so the printer inserts exactly the parentheses the
-#: parser needs to rebuild the same tree.
-_BINARY_PRECEDENCE = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
-}
+# Precedence levels around ``c_ast.BINARY_PRECEDENCE`` (1 to 10), the table the
+# parser climbs, so the printer inserts exactly the parentheses the parser needs
+# to rebuild the same tree.
 _PREC_COMMA = -1
 _PREC_ASSIGN = 0
 _PREC_CONDITIONAL = 0.5
@@ -243,10 +235,11 @@ class CPrinter:
             return spelled, _PREC_UNARY
         if isinstance(node, c_ast.SizeofType):
             assert node.type_name is not None
-            return f"sizeof({self.declaration(node.type_name)})", _PREC_UNARY
+            keyword = "_Alignof" if isinstance(node, c_ast.AlignofType) else "sizeof"
+            return f"{keyword}({self.declaration(node.type_name)})", _PREC_UNARY
         if isinstance(node, c_ast.BinaryOp):
             assert node.left is not None and node.right is not None
-            prec = _BINARY_PRECEDENCE[node.op]
+            prec = c_ast.BINARY_PRECEDENCE[node.op]
             left = self._paren(node.left, prec)
             right = self._paren(node.right, prec, right_operand=True)
             return f"{left} {node.op} {right}", prec
@@ -261,7 +254,7 @@ class CPrinter:
         if isinstance(node, c_ast.Conditional):
             assert node.condition is not None
             assert node.then is not None and node.otherwise is not None
-            cond = self._paren(node.condition, _BINARY_PRECEDENCE["||"])
+            cond = self._paren(node.condition, c_ast.BINARY_PRECEDENCE["||"])
             then, _ = self._expr(node.then)
             otherwise = self._paren(node.otherwise, _PREC_CONDITIONAL)
             return f"{cond} ? {then} : {otherwise}", _PREC_CONDITIONAL

@@ -307,11 +307,13 @@ class ExpressionEvaluatorMixin:
 
     def _eval_SizeofType(self, expr: c_ast.SizeofType) -> CValue:
         try:
-            size = ct.size_of(expr.type_name, self.profile)
+            size = expr.measure(self.profile)
         except ct.LayoutError as exc:
             raise UndefinedBehaviorError(
                 UBKind.INCOMPLETE_TYPE_OBJECT, f"sizeof: {exc}", line=expr.line)
         return IntValue(size, ct.ULONG)
+
+    _eval_AlignofType = _eval_SizeofType
 
     def _eval_Cast(self, expr: c_ast.Cast) -> CValue:
         target = expr.target_type

@@ -165,7 +165,7 @@ def _try_fold(expr: c_ast.Expression, L: LoweringContext) -> Optional[IntValue]:
         return IntValue(expr.value, ct.INT)
     if isinstance(expr, c_ast.SizeofType):
         try:
-            return IntValue(ct.size_of(expr.type_name, L.profile), ct.ULONG)
+            return IntValue(expr.measure(L.profile), ct.ULONG)
         except ct.LayoutError as exc:
             raise _FoldUB(UndefinedBehaviorError(
                 UBKind.INCOMPLETE_TYPE_OBJECT, f"sizeof: {exc}", line=expr.line))
@@ -1117,7 +1117,7 @@ def _lower_UnaryOp(expr: c_ast.UnaryOp, L: LoweringContext) -> ExprThunk:
 
 def _lower_SizeofType(expr: c_ast.SizeofType, L: LoweringContext) -> ExprThunk:
     # Normally folded; this path only runs with folding disabled.
-    type_name = expr.type_name
+    measure = expr.measure
     line = expr.line
     max_steps = L.max_steps
 
@@ -1128,7 +1128,7 @@ def _lower_SizeofType(expr: c_ast.SizeofType, L: LoweringContext) -> ExprThunk:
         if line:
             interp.current_line = line
         try:
-            size = ct.size_of(type_name, interp.profile)
+            size = measure(interp.profile)
         except ct.LayoutError as exc:
             raise UndefinedBehaviorError(
                 UBKind.INCOMPLETE_TYPE_OBJECT, f"sizeof: {exc}", line=line)
@@ -1724,6 +1724,7 @@ _EXPR_LOWERERS = {
     c_ast.Identifier: _lower_Identifier,
     c_ast.UnaryOp: _lower_UnaryOp,
     c_ast.SizeofType: _lower_SizeofType,
+    c_ast.AlignofType: _lower_SizeofType,
     c_ast.Cast: _lower_Cast,
     c_ast.BinaryOp: _lower_BinaryOp,
     c_ast.Assignment: _lower_Assignment,

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import Checker, CheckerOptions
 from repro.cfront import ast as c_ast
 from repro.cfront import ctypes as ct
 from repro.cfront.parser import fold_constant, parse
+from repro.cfront.printer import ast_equivalent, to_c_source
 from repro.errors import CParseError
 
 
@@ -145,7 +147,9 @@ class TestStructUnionEnum:
         assert len(decl.type.fields) == 2
 
     def test_enum_definition(self):
-        unit = parse("enum color { RED, GREEN = 5, BLUE }; int main(void) { return BLUE; }")
+        unit = parse(
+            "enum color { RED, GREEN = 5, BLUE }; int main(void) { return BLUE; }"
+        )
         main = unit.functions()["main"]
         ret = main.body.items[0]
         assert isinstance(ret, c_ast.Return)
@@ -247,6 +251,162 @@ class TestExpressions:
         assert self._expr("5u").type == ct.UINT
 
 
+def shape(expr):
+    """The expression tree spelled with every subexpression parenthesised."""
+    if isinstance(expr, c_ast.Identifier):
+        return expr.name
+    if isinstance(expr, c_ast.BinaryOp):
+        return f"({shape(expr.left)} {expr.op} {shape(expr.right)})"
+    if isinstance(expr, c_ast.Assignment):
+        return f"({shape(expr.target)} {expr.op} {shape(expr.value)})"
+    assert isinstance(expr, c_ast.Conditional)
+    then, otherwise = shape(expr.then), shape(expr.otherwise)
+    return f"({shape(expr.condition)} ? {then} : {otherwise})"
+
+
+class TestPrecedenceAndAssociativity:
+    def _shape(self, text):
+        unit = parse(f"int main(void) {{ {text}; return 0; }}")
+        return shape(unit.functions()["main"].body.items[0].expression)
+
+    def _expr(self, prelude, text):
+        unit = parse(f"{prelude} int main(void) {{ int x; return {text}; }}")
+        return unit.functions()["main"].body.items[-1].value
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a-b-c", "((a - b) - c)"),
+            ("a/b*c", "((a / b) * c)"),
+            ("a<b==c", "((a < b) == c)"),
+            ("a&b^c|d", "(((a & b) ^ c) | d)"),
+            ("a||b&&c", "(a || (b && c))"),
+            ("a<<b+c", "(a << (b + c))"),
+        ],
+    )
+    def test_binary_levels(self, text, expected):
+        assert self._shape(text) == expected
+
+    def test_precedence_table_is_c(self):
+        levels = {}
+        for op, precedence in c_ast.BINARY_PRECEDENCE.items():
+            levels.setdefault(precedence, set()).add(op)
+        assert [levels[p] for p in sorted(levels)] == [
+            {"||"},
+            {"&&"},
+            {"|"},
+            {"^"},
+            {"&"},
+            {"==", "!="},
+            {"<", ">", "<=", ">="},
+            {"<<", ">>"},
+            {"+", "-"},
+            {"*", "/", "%"},
+        ]
+
+    @pytest.mark.parametrize("op", sorted(c_ast.BINARY_PRECEDENCE))
+    def test_every_binary_operator_is_left_associative(self, op):
+        assert self._shape(f"a {op} b {op} c") == f"((a {op} b) {op} c)"
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (low, high)
+            for low, p in c_ast.BINARY_PRECEDENCE.items()
+            for high, q in c_ast.BINARY_PRECEDENCE.items()
+            if p < q
+        ],
+    )
+    def test_tighter_operator_binds_first(self, low, high):
+        assert self._shape(f"a {low} b {high} c") == f"(a {low} (b {high} c))"
+        assert self._shape(f"a {high} b {low} c") == f"((a {high} b) {low} c)"
+
+    def test_conditional_is_right_associative(self):
+        assert self._shape("a ? b : c ? d : e") == "(a ? b : (c ? d : e))"
+        assert self._shape("a || b ? c : d") == "((a || b) ? c : d)"
+
+    @pytest.mark.parametrize(
+        "op", ["=", "*=", "/=", "%=", "+=", "-=", "<<=", ">>=", "&=", "^=", "|="]
+    )
+    def test_every_assignment_operator_is_right_associative(self, op):
+        assert self._shape(f"a {op} b {op} c") == f"(a {op} (b {op} c))"
+        assert self._shape(f"a {op} b ? c : d") == f"(a {op} (b ? c : d))"
+
+    def test_cast_versus_parenthesised_expression(self):
+        cast = self._expr("typedef int T;", "(T)-x")
+        assert isinstance(cast, c_ast.Cast)
+        assert cast.target_type == ct.INT
+        assert cast.operand.op == "-"
+        difference = self._expr("int T;", "(T)-x")
+        assert isinstance(difference, c_ast.BinaryOp)
+        assert difference.op == "-"
+
+    def test_sizeof_type_versus_sizeof_expression(self):
+        of_type = self._expr("typedef long T;", "sizeof (T) + 1")
+        assert isinstance(of_type.left, c_ast.SizeofType)
+        assert of_type.left.type_name == ct.LONG
+        of_object = self._expr("long T;", "sizeof (T) + 1")
+        assert of_object.left.op == "sizeof"
+        assert isinstance(of_object.left.operand, c_ast.Identifier)
+        bare = self._expr("", "sizeof x + 1")
+        assert bare.left.op == "sizeof"
+        assert bare.left.operand.name == "x"
+
+    def test_typedef_name_versus_identifier_at_statement_start(self):
+        unit = parse("typedef int T; int main(void) { T * x; return 0; }")
+        declaration = unit.functions()["main"].body.items[0]
+        assert isinstance(declaration, c_ast.Declaration)
+        assert declaration.type == ct.PointerType(pointee=ct.INT)
+        unit = parse("int main(void) { int T = 2, x = 3; T * x; return 0; }")
+        statement = unit.functions()["main"].body.items[2]
+        assert isinstance(statement, c_ast.ExpressionStmt)
+        assert shape(statement.expression) == "(T * x)"
+
+
+class TestAlignof:
+    PRELUDE = "struct S { char c[10]; };"
+
+    def _fold(self, text, profile=ct.LP64):
+        source = f"{self.PRELUDE} int main(void) {{ return {text}; }}"
+        unit = parse(source, profile=profile)
+        return fold_constant(unit.functions()["main"].body.items[0].value, profile)
+
+    def test_struct_aligns_to_its_strictest_member_not_its_size(self):
+        assert self._fold("_Alignof(struct S)") == 1
+        assert self._fold("sizeof(struct S)") == 10
+
+    def test_double_under_lp64(self):
+        assert self._fold("_Alignof(double)") == 8
+
+    def test_ilp32_aligns_double_to_four(self):
+        assert self._fold("_Alignof(double)", ct.ILP32) == 4
+        assert self._fold("sizeof(double)", ct.ILP32) == 8
+
+    def test_folds_in_array_bound(self):
+        declaration = parse_decls("char pad[_Alignof(long long) + 1];")[0]
+        assert declaration.type.length == 9
+
+    @pytest.mark.parametrize("engine", ["walker", "lowered", "compiled"])
+    def test_evaluates_to_alignment(self, engine):
+        source = f"{self.PRELUDE} int main(void) {{ return _Alignof(struct S); }}"
+        report = Checker(CheckerOptions(engine=engine)).check(source)
+        assert report.outcome.exit_code == 1
+
+    def test_static_assert_sees_the_profile(self):
+        source = '_Static_assert(_Alignof(double) == 8, "lp64"); int main(void) {}'
+        assert Checker().check(source).outcome.static_violations == []
+        ilp32 = Checker(CheckerOptions(profile=ct.ILP32)).check(source)
+        [violation] = ilp32.outcome.static_violations
+        assert violation.message == "_Static_assert failed: lp64"
+
+    def test_prints_as_alignof_and_round_trips(self):
+        unit = parse(f"{self.PRELUDE} int main(void) {{ return _Alignof(struct S); }}")
+        expr = unit.functions()["main"].body.items[0].value
+        assert isinstance(expr, c_ast.AlignofType)
+        assert to_c_source(expr) == "_Alignof(struct S)"
+        assert ast_equivalent(parse(to_c_source(unit)), unit)
+
+
 class TestStatements:
     def _body(self, text):
         unit = parse(f"int main(void) {{ {text} }}")
@@ -304,17 +464,23 @@ class TestStatements:
 
 class TestFunctionDefinitions:
     def test_parameter_names(self):
-        func = only_function("int main(void) { return 0; } "
-                             "int add(int first, int second) { return first + second; }",
-                             name="add")
+        source = (
+            "int main(void) { return 0; } "
+            "int add(int first, int second) { return first + second; }"
+        )
+        func = only_function(source, name="add")
         assert func.parameter_names == ["first", "second"]
 
     def test_static_function(self):
-        unit = parse("static int helper(void) { return 1; } int main(void) { return helper(); }")
+        unit = parse(
+            "static int helper(void) { return 1; } int main(void) { return helper(); }"
+        )
         assert unit.functions()["helper"].storage == "static"
 
     def test_void_function(self):
-        unit = parse("void nothing(void) { return; } int main(void) { nothing(); return 0; }")
+        unit = parse(
+            "void nothing(void) { return; } int main(void) { nothing(); return 0; }"
+        )
         assert unit.functions()["nothing"].type.return_type == ct.VOID
 
 
