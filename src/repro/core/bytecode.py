@@ -17,15 +17,29 @@ The native subset
 * local one-dimensional flat-integer arrays and unit-level flat scalars /
   arrays -> memory *slots* accessed with pre-derived element sizes against
   the arena-backed byte store;
+* flat-integer pointer locals and parameters (``T *`` for every flat
+  integer ``T``: ``int *``, ``char *``, ``unsigned char *``, ...) ->
+  registers holding a boxed ``PointerValue`` (or ``UNINIT``).  The raw-int
+  fast paths reject both by construction, so every pointer operation is a
+  slow-path opcode over the *shared* helpers: array decay through
+  ``_read_binding``; ``*p``/``p[i]`` through ``_deref_to_lvalue``/
+  ``_pointer_add`` and ``_read_with_plan``/``_write_with_plan``;
+  ``p++``/``p += n``/``p + n``/``p - q``/comparisons through
+  ``_pointer_add`` and ``apply_binary``; truth tests through
+  ``to_boolean``; stores into a pointer register through ``convert``.
+  Pointer values may be passed to unit functions and builtins;
 * calls to unit functions and builtins, ``if``/``while``/``do``/``for``,
-  ``&&``/``||``/``?:``/comma, casts between flat integer types.
+  ``&&``/``||``/``?:``/comma, casts between flat integer types and to
+  native pointer types.
 
-Anything else — pointers, floats, structs, ``&`` anywhere in the function,
-``goto``/``switch``/labels, static or extern locals, variadic definitions —
-aborts compilation of that *function* (:class:`_Unsupported`), and the
-function transparently runs on the lowered closures instead.  Falling back
-is always verdict-safe: the compiled engine is an accelerator for the
-common case, never an alternative semantics.
+Anything else — pointer return types, pointers to pointers, function
+pointers, float pointees, floats, structs, compound literals, ``&`` in any
+natively compiled expression, ``goto``/``switch``/labels, static or extern
+locals, variadic definitions — aborts compilation of that *function*
+(:class:`_Unsupported`, whose message :attr:`CompiledProgram.fallbacks`
+keeps), and the function transparently runs on the lowered closures
+instead.  Falling back is always verdict-safe: the compiled engine is an
+accelerator for the common case, never an alternative semantics.
 
 Parity contract
 ---------------
@@ -55,8 +69,9 @@ The bytecode replicates the *lowered* engine observation-for-observation:
   the lowered engine produces the report.
 
 Whole-unit compilation is memoized per options on
-:class:`repro.api.kcc.CompiledUnit`; functions that do not compile simply
-stay absent from :attr:`CompiledProgram.functions`.
+:class:`repro.core.kcc.CompiledUnit`; functions that do not compile stay
+absent from :attr:`CompiledProgram.functions` and are listed, with the
+reason, in :attr:`CompiledProgram.fallbacks`.
 """
 
 from __future__ import annotations
@@ -70,6 +85,7 @@ from repro.cfront.headers import BUILTIN_FUNCTIONS
 from repro.core.config import CheckerOptions
 from repro.core.lowering import (
     _FLAT_INT_TYPES,
+    _AccessPlanCache,
     _FoldUB,
     _subtree_step_cost,
     _try_fold,
@@ -132,6 +148,15 @@ OP_PUSHSC = 24  # (op,)
 OP_POPSC = 25  # (op,)
 OP_RAISE = 26  # (op, kind, message, line)
 OP_STR = 27  # (op, dst, text)
+OP_DEREF = 28  # (op, dst, src, line, rdmsg, rdline, ptype)
+OP_LDL = 29  # (op, dst, lv, line, plans)
+OP_PINC = 30  # (op, dst, old_dst, delta, slow)
+OP_PBIN = 31  # (op, dst, a, b, slow, keep)
+OP_STL = 32  # (op, lv, src, line, plans)
+OP_PIDX = 33  # (op, dst, a, b, line, info)
+OP_PCONV = 34  # (op, dst, src, target, line, rdmsg, rdline, source)
+OP_DECAY = 35  # (op, dst, slot, line, name)
+OP_BINDP = 36  # (op, dst, name, size)
 
 #: Opcodes that can never raise: the only instructions allowed between a
 #: deferred register read and its consuming check without reordering the
@@ -161,6 +186,14 @@ _DST_FIELDS = {
     OP_CALL: (1,),
     OP_BINDR: (1,),
     OP_STR: (1,),
+    OP_DEREF: (1,),
+    OP_LDL: (1,),
+    OP_PINC: (1, 2),
+    OP_PBIN: (1,),
+    OP_PIDX: (1,),
+    OP_PCONV: (1,),
+    OP_DECAY: (1,),
+    OP_BINDP: (1,),
 }
 
 #: ``smode`` load decode: 0 unsigned, 1 signed two's-complement, 2 _Bool.
@@ -204,16 +237,25 @@ class FnCode:
 
 
 class CompiledProgram:
-    """All natively compiled functions of one translation unit."""
+    """All natively compiled functions of one translation unit.
 
-    __slots__ = ("functions", "order_mode", "options")
+    ``fallbacks`` maps every function left to the lowered closures to the
+    reason its compilation stopped (the :class:`_Unsupported` message).
+    """
+
+    __slots__ = ("functions", "order_mode", "options", "fallbacks")
 
     def __init__(
-        self, functions: dict, order_mode: int, options: CheckerOptions
+        self,
+        functions: dict,
+        order_mode: int,
+        options: CheckerOptions,
+        fallbacks: Optional[dict] = None,
     ) -> None:
         self.functions = functions
         self.order_mode = order_mode
         self.options = options
+        self.fallbacks = fallbacks if fallbacks is not None else {}
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +572,62 @@ class _RegVar:
             self.read_msg = None
 
 
+def _is_native_pointer(ctype: Optional[ct.CType]) -> bool:
+    """``T *`` with a flat integer ``T``: the pointer types kept in registers."""
+    return isinstance(ctype, ct.PointerType) and isinstance(
+        ctype.pointee, _FLAT_INT_TYPES
+    )
+
+
+class _PtrVar:
+    """A flat-integer pointer local living in a virtual register.
+
+    The register holds the boxed value the lowered engine would read back
+    from the object — a ``PointerValue`` typed as the variable's unqualified
+    type, another ``CValue`` in the rare non-pointer cases, or ``UNINIT``.
+    """
+
+    __slots__ = ("reg", "ctype", "read_msg", "size")
+
+    def __init__(
+        self, reg: int, ctype: ct.CType, profile: ct.ImplementationProfile
+    ) -> None:
+        self.reg = reg
+        self.ctype = ctype
+        self.size = ct.size_of(ctype, profile)
+        # Pointers are non-character scalars: the uninit side condition of
+        # `_read_binding` always applies.
+        self.read_msg = (
+            "Read of an uninitialized (indeterminate) value " f"of type {ctype}."
+        )
+
+
+_REGISTER_VARS = (_RegVar, _PtrVar)
+
+
+def _is_place_target(node) -> bool:
+    """Lvalue shapes compiled to a memory :class:`_Place`."""
+    return isinstance(node, c_ast.ArraySubscript) or (
+        isinstance(node, c_ast.UnaryOp) and node.op == "*"
+    )
+
+
+class _Place:
+    """A compiled memory lvalue: an array element or a dereferenced pointer.
+
+    ``var`` is the array's :class:`_MemVar` when ``addr`` holds a ``CHKE``
+    element address, None when it holds an ``LValue`` (pointer path).
+    """
+
+    __slots__ = ("addr", "elem", "var", "line")
+
+    def __init__(self, addr: int, elem: ct.CType, var, line: int) -> None:
+        self.addr = addr
+        self.elem = elem
+        self.var = var
+        self.line = line
+
+
 class _MemVar:
     """A memory-resident variable (local/global array, global scalar)."""
 
@@ -806,6 +904,10 @@ class _FnCompiler:
                 var = _RegVar(self.new_reg(), param_type, self.profile)
                 scope[name] = var
                 self.emit((OP_BINDR, var.reg, name, var.size, var.signed, var.is_bool))
+            elif _is_native_pointer(param_type):
+                var = _PtrVar(self.new_reg(), param_type, self.profile)
+                scope[name] = var
+                self.emit((OP_BINDP, var.reg, name, var.size))
             else:
                 scope[name] = _BAD
         # The function-body compound charges no step and pushes no scope
@@ -1016,6 +1118,7 @@ class _FnCompiler:
         value = self.compile_expr(stmt.value)
         if value.ctype is None:
             raise _Unsupported("returning a void value")
+        self._require_flat(value)
         self.emit_seqpt()
         self.flush_steps()
         self.emit((OP_RET, value.reg, value.ctype, value.read_msg, value.read_line))
@@ -1036,6 +1139,9 @@ class _FnCompiler:
         self.pending_steps += 1  # the Declaration statement node
         if isinstance(ctype, _FLAT_INT_TYPES):
             self._declare_register(decl, ctype)
+            return
+        if _is_native_pointer(ctype):
+            self._declare_pointer(decl, ctype)
             return
         if (
             isinstance(ctype, ct.ArrayType)
@@ -1080,6 +1186,29 @@ class _FnCompiler:
         self.sim_write(decl.name)
         self.emit_seqpt()
 
+    def _declare_pointer(self, decl: c_ast.Declaration, ctype: ct.PointerType) -> None:
+        """``T *p [= init];`` — the register twin of :meth:`_declare_register`."""
+        initializer = decl.initializer
+        var = _PtrVar(self.new_reg(), ctype, self.profile)
+        if initializer is None or self._walker_safe(initializer):
+            self.flush_steps()
+            self.emit((OP_DECL, decl, -1, decl.line))
+            self.emit((OP_BINDP, var.reg, decl.name, var.size))
+            self.scopes[-1][decl.name] = var
+            self.dirty = False
+            self.pending_names.clear()
+            return
+        if isinstance(initializer, c_ast.InitList) or ctype.const:
+            raise _Unsupported("pointer initializer with register reads")
+        self.flush_steps()
+        self.emit((OP_DECL, dc_replace(decl, initializer=None), -1, decl.line))
+        self.scopes[-1][decl.name] = var
+        value = self.compile_expr(initializer)
+        converted = self.convert_pointer(value, ctype, decl.line)
+        self.emit((OP_MOV, var.reg, converted.reg))
+        self.sim_write(decl.name)
+        self.emit_seqpt()
+
     def _declare_array(self, decl: c_ast.Declaration, ctype: ct.ArrayType) -> None:
         initializer = decl.initializer
         if initializer is not None and not self._walker_safe(initializer):
@@ -1101,7 +1230,7 @@ class _FnCompiler:
                 for scope in reversed(self.scopes):
                     var = scope.get(node.name)
                     if var is not None:
-                        if isinstance(var, _RegVar) or var is _BAD:
+                        if isinstance(var, _REGISTER_VARS) or var is _BAD:
                             return False
                         break
         return True
@@ -1151,12 +1280,14 @@ class _FnCompiler:
         var = self.lookup(expr.name)
         if var is None or var is _BAD:
             raise _Unsupported(f"identifier '{expr.name}' outside native subset")
-        if isinstance(var, _RegVar):
+        if isinstance(var, _REGISTER_VARS):
             self.sim_read(expr.name)
             return _Value(var.reg, var.ctype.unqualified(), var.read_msg, expr.line)
-        if var.is_array:
-            raise _Unsupported("array value used outside subscript/call")
         dst = self.new_reg()
+        if var.is_array:
+            # Array-to-pointer decay: the binding's cached decayed pointer.
+            self.emit((OP_DECAY, dst, var.slot, expr.line, expr.name))
+            return _Value(dst, ct.PointerType(pointee=var.elem))
         self.emit(
             (
                 OP_LDG,
@@ -1174,10 +1305,14 @@ class _FnCompiler:
         op = expr.op
         if op in ("++pre", "--pre", "++post", "--post"):
             return self._compile_incdec(expr, discard)
+        if op == "*":
+            self.pending_steps += 1
+            place = self._compile_deref_place(expr)
+            return _Value(self._emit_load(place), place.elem.unqualified())
         if op == "!":
             self.pending_steps += 1
             value = self.compile_expr(expr.operand)
-            self._require_flat(value)
+            self._require_scalar(value)
             dst = self.new_reg()
             self.emit(
                 (OP_NOT, dst, value.reg, expr.line, value.read_msg, value.read_line)
@@ -1208,6 +1343,12 @@ class _FnCompiler:
         if value.ctype is None or not isinstance(value.ctype, _FLAT_INT_TYPES):
             raise _Unsupported("non-flat operand")
 
+    def _require_scalar(self, value: _Value) -> None:
+        """A truth-tested operand: flat integer or native pointer (the
+        branch/boolean slow paths hand non-int values to ``to_boolean``)."""
+        if not _is_native_pointer(value.ctype):
+            self._require_flat(value)
+
     def _compile_incdec(self, expr: c_ast.UnaryOp, discard) -> _Value:
         delta = 1 if expr.op.startswith("++") else -1
         is_post = expr.op.endswith("post")
@@ -1217,6 +1358,17 @@ class _FnCompiler:
             var = self.lookup(operand.name)
             if var is None or var is _BAD:
                 raise _Unsupported("incdec target outside native subset")
+            if isinstance(var, _PtrVar):
+                self.pending_steps += 1  # the binding resolve step
+                if var.ctype.const:
+                    raise _Unsupported("incdec on const lvalue")
+                self.sim_read(operand.name)
+                self.sim_write(operand.name)
+                old_dst = self.new_reg() if is_post else -1
+                slow = (expr.line, var.ctype.unqualified(), var.read_msg)
+                self.emit((OP_PINC, var.reg, old_dst, delta, slow))
+                result_reg = old_dst if is_post else var.reg
+                return _Value(result_reg, var.ctype.unqualified())
             if isinstance(var, _RegVar):
                 self.pending_steps += 1  # the binding resolve step
                 if var.ctype.const:
@@ -1259,23 +1411,20 @@ class _FnCompiler:
             self.emit((OP_UNOP, new, old, plan, slow))
             self._emit_store_global(var, operand.name, _Value(new, var.elem), expr.line)
             return _Value(old if is_post else new, var.elem.unqualified())
-        if isinstance(operand, c_ast.ArraySubscript):
-            self.pending_steps += 1  # subscript lvalue node
-            addr, var = self._compile_subscript_address(operand)
-            old = self.new_reg()
-            self.emit((OP_LDA, old, addr, var.esize, var.smode, operand.line, var.info))
-            if var.elem.const:
+        if _is_place_target(operand):
+            place = self._compile_place(operand)
+            elem = place.elem
+            old = self._emit_load(place)
+            if elem.const:
                 raise _Unsupported("incdec on const element")
-            plan = raw_incdec_plan(delta, var.elem, self.options, expr.line)
+            plan = raw_incdec_plan(delta, elem, self.options, expr.line)
             if plan is None:
                 raise _Unsupported("incdec plan unavailable")
             new = self.new_reg()
-            slow = (
-                "operand of ++/--", expr.line, var.elem.unqualified(), None, 0, plan
-            )
+            slow = ("operand of ++/--", expr.line, elem.unqualified(), None, 0, plan)
             self.emit((OP_UNOP, new, old, plan, slow))
-            self._emit_store_element(var, addr, _Value(new, var.elem), expr.line)
-            return _Value(old if is_post else new, var.elem.unqualified())
+            self._emit_store(place, _Value(new, elem), expr.line)
+            return _Value(old if is_post else new, elem.unqualified())
         raise _Unsupported("incdec on unsupported lvalue")
 
     def expr_binary(self, expr: c_ast.BinaryOp, discard) -> _Value:
@@ -1297,6 +1446,8 @@ class _FnCompiler:
             grown = len(self.code)
             self.protect_read(right, mark)
             right = self.snapshot(right, mark + (len(self.code) - grown))
+        if _is_native_pointer(left.ctype) or _is_native_pointer(right.ctype):
+            return self._pointer_binary(op, left, right, expr.line)
         self._require_flat(left)
         self._require_flat(right)
         planned = raw_binary_plan(op, left.ctype, right.ctype, self.options, expr.line)
@@ -1318,11 +1469,55 @@ class _FnCompiler:
         self.emit((OP_BINOP, dst, left.reg, right.reg, plan, slow))
         return _Value(dst, result_type)
 
+    def _pointer_binary(
+        self, op: str, left: _Value, right: _Value, line: int
+    ) -> _Value:
+        """Pointer arithmetic and comparison: always ``apply_binary``.
+
+        A pointer-typed result is stored boxed (``keep``): its register never
+        holds a raw int (the ablated uninitialized cases make
+        ``apply_binary`` return an ``IntValue`` where a pointer was meant).
+        """
+        left_ptr = _is_native_pointer(left.ctype)
+        right_ptr = _is_native_pointer(right.ctype)
+        for value, is_ptr in ((left, left_ptr), (right, right_ptr)):
+            if not is_ptr:
+                self._require_flat(value)
+        if op in _RELATIONAL:
+            result_type = ct.INT
+        elif op == "+" and left_ptr != right_ptr:
+            result_type = left.ctype if left_ptr else right.ctype
+        elif op == "-" and left_ptr:
+            if right_ptr:
+                pointee = left.ctype.pointee.unqualified()
+                if pointee != right.ctype.pointee.unqualified():
+                    raise _Unsupported("difference of incompatible pointers")
+                result_type = ct.LONG
+            else:
+                result_type = left.ctype
+        else:
+            raise _Unsupported(f"binary {op} on {left.ctype}, {right.ctype}")
+        keep = _is_native_pointer(result_type)
+        dst = self.new_reg()
+        slow = (
+            op,
+            line,
+            left.ctype,
+            right.ctype,
+            left.read_msg,
+            left.read_line,
+            right.read_msg,
+            right.read_line,
+            None,
+        )
+        self.emit((OP_PBIN, dst, left.reg, right.reg, slow, keep))
+        return _Value(dst, result_type)
+
     def _compile_logical(self, expr: c_ast.BinaryOp) -> _Value:
         is_and = expr.op == "&&"
         self.pending_steps += 1
         left = self.compile_expr(expr.left)
-        self._require_flat(left)
+        self._require_scalar(left)
         self.emit_seqpt()
         dst = self.new_reg()
         short_label = self.new_label()
@@ -1333,7 +1528,7 @@ class _FnCompiler:
         else:
             self.emit_jnz(left, short_label, expr.line)
         right = self.compile_expr(expr.right)
-        self._require_flat(right)
+        self._require_scalar(right)
         self.emit((OP_BOOL, dst, right.reg, expr.line, right.read_msg, right.read_line))
         self.emit_jmp(end_label)
         self.bind(short_label)
@@ -1398,6 +1593,8 @@ class _FnCompiler:
         if target is not None and target.is_void:
             self._discard_check(value, expr.operand)
             return _Value(value.reg, None)
+        if _is_native_pointer(target):
+            return self.convert_pointer(value, target, expr.line, explicit=True)
         if not isinstance(target, _FLAT_INT_TYPES):
             raise _Unsupported(f"cast to {target}")
         self._require_flat(value)
@@ -1411,11 +1608,19 @@ class _FnCompiler:
 
     def expr_subscript(self, expr: c_ast.ArraySubscript, discard) -> _Value:
         self.pending_steps += 1
-        reg, var = self._compile_subscript_load(expr)
+        parts = self._subscript_parts(expr)
+        if parts is None:
+            place = self._compile_pointer_subscript(expr)
+            return _Value(self._emit_load(place), place.elem.unqualified())
+        reg, var = self._compile_subscript_load(expr, parts)
         return _Value(reg, var.elem.unqualified())
 
     def _subscript_parts(self, expr: c_ast.ArraySubscript):
-        """Resolve which side is the array; keep syntactic evaluation order."""
+        """Resolve which side is the array; keep syntactic evaluation order.
+
+        None when neither side names an array variable: the subscript then
+        goes through a pointer value (:meth:`_compile_pointer_subscript`).
+        """
         def array_var(node):
             if isinstance(node, c_ast.Identifier):
                 var = self.lookup(node.name)
@@ -1428,10 +1633,12 @@ class _FnCompiler:
             return a_var, expr.array, expr.index, False
         if a_var is None and i_var is not None:
             return i_var, expr.index, expr.array, True
+        if a_var is None:
+            return None
         raise _Unsupported("subscript outside native subset")
 
-    def _compile_subscript_load(self, expr: c_ast.ArraySubscript):
-        var, array_node, index_node, swapped = self._subscript_parts(expr)
+    def _compile_subscript_load(self, expr: c_ast.ArraySubscript, parts):
+        var, array_node, index_node, swapped = parts
         index = self._compile_subscript_index(
             expr, var, array_node, index_node, swapped
         )
@@ -1478,9 +1685,9 @@ class _FnCompiler:
         self._require_flat(index)
         return index
 
-    def _compile_subscript_address(self, expr: c_ast.ArraySubscript):
+    def _compile_subscript_address(self, expr: c_ast.ArraySubscript, parts):
         """CHKE: resolve the element address (pointer-add checks) now."""
-        var, array_node, index_node, swapped = self._subscript_parts(expr)
+        var, array_node, index_node, swapped = parts
         index = self._compile_subscript_index(
             expr, var, array_node, index_node, swapped
         )
@@ -1504,6 +1711,97 @@ class _FnCompiler:
         )
         return addr, var
 
+    # -- pointer lvalues ---------------------------------------------------
+
+    def _compile_pointer_subscript(self, expr: c_ast.ArraySubscript) -> _Place:
+        """``e1[e2]`` through a pointer value: PIDX, the lowered subscript
+        core (``_require_pointer``/``_require_int``/``_pointer_add``)."""
+        if self.order_mode == 0:
+            first = self.compile_expr(expr.array)
+            mark = len(self.code)
+            second = self.compile_expr(expr.index)
+            grown = len(self.code)
+            self.protect_read(first, mark)
+            base = self.snapshot(first, mark + (len(self.code) - grown))
+            index = second
+        else:
+            first = self.compile_expr(expr.index)
+            mark = len(self.code)
+            base = self.compile_expr(expr.array)
+            grown = len(self.code)
+            self.protect_read(first, mark)
+            index = self.snapshot(first, mark + (len(self.code) - grown))
+        if _is_native_pointer(base.ctype):
+            pointer = base
+            self._require_flat(index)
+        elif _is_native_pointer(index.ctype):
+            pointer = index
+            self._require_flat(base)
+        else:
+            raise _Unsupported("subscript outside native subset")
+        dst = self.new_reg()
+        info = (
+            base.ctype,
+            base.read_msg,
+            base.read_line,
+            index.ctype,
+            index.read_msg,
+            index.read_line,
+        )
+        self.emit((OP_PIDX, dst, base.reg, index.reg, expr.line, info))
+        return _Place(dst, pointer.ctype.pointee, None, expr.line)
+
+    def _compile_deref_place(self, expr: c_ast.UnaryOp) -> _Place:
+        """``*e``: DEREF, the lowered ``_deref_to_lvalue``."""
+        value = self.compile_expr(expr.operand)
+        if not _is_native_pointer(value.ctype):
+            raise _Unsupported(f"dereference of {value.ctype}")
+        dst = self.new_reg()
+        self.emit(
+            (
+                OP_DEREF,
+                dst,
+                value.reg,
+                expr.line,
+                value.read_msg,
+                value.read_line,
+                value.ctype,
+            )
+        )
+        return _Place(dst, value.ctype.pointee, None, expr.line)
+
+    def _compile_place(self, target) -> _Place:
+        """A memory lvalue target; charges the lvalue node's step."""
+        self.pending_steps += 1
+        if isinstance(target, c_ast.UnaryOp):
+            return self._compile_deref_place(target)
+        parts = self._subscript_parts(target)
+        if parts is None:
+            return self._compile_pointer_subscript(target)
+        addr, var = self._compile_subscript_address(target, parts)
+        return _Place(addr, var.elem, var, target.line)
+
+    def _emit_load(self, place: _Place) -> int:
+        dst = self.new_reg()
+        var = place.var
+        if var is not None:
+            self.emit(
+                (OP_LDA, dst, place.addr, var.esize, var.smode, place.line, var.info)
+            )
+        else:
+            self.emit((OP_LDL, dst, place.addr, place.line, _AccessPlanCache()))
+        return dst
+
+    def _emit_store(self, place: _Place, value: _Value, line: int) -> None:
+        if place.var is not None:
+            self._emit_store_element(place.var, place.addr, value, line)
+            return
+        if place.elem.const:
+            raise _Unsupported("store through a pointer to const")
+        self.emit((OP_STL, place.addr, value.reg, line, _AccessPlanCache()))
+        if self.check_seq:
+            self.dirty = True
+
     def expr_assignment(self, expr: c_ast.Assignment, discard) -> _Value:
         target = expr.target
         if isinstance(target, c_ast.Identifier):
@@ -1512,12 +1810,49 @@ class _FnCompiler:
                 raise _Unsupported("assignment target outside native subset")
             if isinstance(var, _RegVar):
                 return self._assign_register(expr, var)
+            if isinstance(var, _PtrVar):
+                return self._assign_pointer(expr, var)
             if var.is_array:
                 raise _Unsupported("assignment to an array")
             return self._assign_global(expr, var)
-        if isinstance(target, c_ast.ArraySubscript):
+        if _is_place_target(target):
             return self._assign_element(expr)
         raise _Unsupported("assignment target outside native subset")
+
+    def _assign_pointer(self, expr: c_ast.Assignment, var: _PtrVar) -> _Value:
+        name = expr.target.name
+        if var.ctype.const:
+            raise _Unsupported("assignment to const register")
+        self.pending_steps += 1
+        if expr.op == "=":
+            if self.order_mode == 0:
+                self.pending_steps += 1  # binding resolve
+                value = self.compile_expr(expr.value)
+            else:
+                value = self.compile_expr(expr.value)
+                self.pending_steps += 1
+            converted = self.convert_pointer(value, var.ctype, expr.line)
+            self.sim_write(name)
+            self.emit((OP_MOV, var.reg, converted.reg))
+            return _Value(var.reg, var.ctype.unqualified())
+        # Compound: the lowered engine reads the old value before the rhs
+        # runs and stores apply_binary's result unconverted when it is a
+        # pointer (PCONV is the identity on it, and covers the rest).
+        self.pending_steps += 1  # binding resolve
+        self.sim_read(name)
+        if self.check_uninit:
+            self.emit((OP_RDCHK, var.reg, var.read_msg, expr.line))
+        old = _Value(var.reg, var.ctype.unqualified())
+        mark = len(self.code)
+        rhs = self.compile_expr(expr.value)
+        old = self.snapshot(old, mark)
+        result = self._pointer_binary(expr.op[:-1], old, rhs, expr.line)
+        if not _is_native_pointer(result.ctype):
+            raise _Unsupported(f"compound {expr.op} on a pointer")
+        converted = self.convert_pointer(result, var.ctype, expr.line)
+        self.sim_write(name)
+        self.emit((OP_MOV, var.reg, converted.reg))
+        return _Value(var.reg, var.ctype.unqualified())
 
     def _assign_register(self, expr: c_ast.Assignment, var: _RegVar) -> _Value:
         name = expr.target.name
@@ -1626,30 +1961,26 @@ class _FnCompiler:
         self.pending_steps += 1  # the assignment node
         if expr.op == "=":
             if self.order_mode == 0:
-                self.pending_steps += 1  # subscript lvalue node
-                addr, var = self._compile_subscript_address(target)
+                place = self._compile_place(target)
                 value = self.compile_expr(expr.value)
             else:
                 value = self.compile_expr(expr.value)
-                self.pending_steps += 1
                 mark = len(self.code)
-                addr, var = self._compile_subscript_address(target)
+                place = self._compile_place(target)
                 grown = len(self.code)
                 self.protect_read(value, mark)
                 value = self.snapshot(value, mark + (len(self.code) - grown))
-            if var.elem.const:
+            if place.elem.const:
                 raise _Unsupported("assignment to const element")
-            converted = self.convert_to(value, var.elem, expr.line)
-            self._emit_store_element(var, addr, converted, expr.line)
-            return _Value(converted.reg, var.elem.unqualified())
+            converted = self.convert_to(value, place.elem, expr.line)
+            self._emit_store(place, converted, expr.line)
+            return _Value(converted.reg, place.elem.unqualified())
         op = expr.op[:-1]
-        self.pending_steps += 1  # subscript lvalue node (resolved first)
-        addr, var = self._compile_subscript_address(target)
-        if var.elem.const:
+        place = self._compile_place(target)  # resolved first in every mode
+        elem = place.elem
+        if elem.const:
             raise _Unsupported("assignment to const element")
-        old_reg = self.new_reg()
-        self.emit((OP_LDA, old_reg, addr, var.esize, var.smode, target.line, var.info))
-        old = _Value(old_reg, var.elem.unqualified())
+        old = _Value(self._emit_load(place), elem.unqualified())
         rhs = self.compile_expr(expr.value)
         self._require_flat(rhs)
         planned = raw_binary_plan(op, old.ctype, rhs.ctype, self.options, expr.line)
@@ -1669,9 +2000,9 @@ class _FnCompiler:
             plan,
         )
         self.emit((OP_BINOP, result, old.reg, rhs.reg, plan, slow))
-        converted = self.convert_to(_Value(result, result_type), var.elem, expr.line)
-        self._emit_store_element(var, addr, converted, expr.line)
-        return _Value(converted.reg, var.elem.unqualified())
+        converted = self.convert_to(_Value(result, result_type), elem, expr.line)
+        self._emit_store(place, converted, expr.line)
+        return _Value(converted.reg, elem.unqualified())
 
     def _emit_store_global(
         self, var: _MemVar, name: str, value: _Value, line: int
@@ -1718,6 +2049,28 @@ class _FnCompiler:
         dst = self.new_reg()
         slow = (target.unqualified(), line, value.read_msg, value.read_line)
         self.emit((OP_CONV, dst, value.reg, plan, slow))
+        return _Value(dst, target.unqualified())
+
+    def convert_pointer(
+        self, value: _Value, target: ct.CType, line: int, explicit: bool = False
+    ) -> _Value:
+        """Convert a pointer or integer value to a native pointer type
+        (``convert`` on the boxed value, PCONV)."""
+        if not _is_native_pointer(value.ctype):
+            self._require_flat(value)
+        dst = self.new_reg()
+        self.emit(
+            (
+                OP_PCONV,
+                dst,
+                value.reg,
+                target.unqualified(),
+                line,
+                value.read_msg,
+                value.read_line,
+                (value.ctype, explicit),
+            )
+        )
         return _Value(dst, target.unqualified())
 
     def expr_call(self, expr: c_ast.Call, discard) -> _Value:
@@ -1858,6 +2211,7 @@ def compile_unit_bytecode(
             elif declaration.type is not None:
                 unit_globals[declaration.name] = declaration.type
     functions: dict[str, FnCode] = {}
+    fallbacks: dict[str, str] = {}
     L = LoweringContext(options)
     for definition in definitions:
         compiler = _FnCompiler(
@@ -1865,10 +2219,10 @@ def compile_unit_bytecode(
         )
         try:
             functions[definition.name] = compiler.compile()
-        except _Unsupported:
-            continue
-        except _FoldUB:
-            continue
+        except _Unsupported as reason:
+            fallbacks[definition.name] = str(reason)
+        except _FoldUB as fold_error:
+            fallbacks[definition.name] = f"constant folding: {fold_error.message}"
     if not functions:
         return None
-    return CompiledProgram(functions, order_mode, options)
+    return CompiledProgram(functions, order_mode, options, fallbacks)

@@ -113,9 +113,9 @@ class CompiledUnit:
         carries no instrumentation code at all, which is the compile-time
         "null-probe" specialization that keeps unprobed runs at full speed.
 
-        Returns None when there is nothing to lower (parse failure) or when
-        lowering itself fails — the caller then falls back to the legacy
-        walker, so a lowering defect can cost speed but never a verdict.
+        Returns None when there is nothing to lower (parse failure).  An
+        exception raised by the lowering pass is a defect and propagates:
+        swallowing it would silently run the whole unit on the walker.
         """
         if self.unit is None:
             return None
@@ -124,32 +124,27 @@ class CompiledUnit:
         key = (options, fold, instrument)
         if key not in self._lowered:
             from repro.core.lowering import lower_unit
-            try:
-                self._lowered[key] = lower_unit(self.unit, options, fold=fold,
-                                                instrument=instrument)
-            except Exception:  # pragma: no cover - safety net, not expected
-                self._lowered[key] = None
+            self._lowered[key] = lower_unit(self.unit, options, fold=fold,
+                                            instrument=instrument)
         return self._lowered[key]
 
     def compiled_for(self, options: CheckerOptions):
         """The register-bytecode program of this unit for ``options``
         (memoized), or None.
 
-        Functions outside the compiler's native subset are simply absent
-        from the returned program and run on the lowered closures instead;
-        a compiler defect can therefore cost speed but never a verdict.
-        Returns None outright on parse failure, for evaluation orders the
-        bytecode does not pre-resolve, or if compilation itself fails.
+        Functions outside the compiler's native subset are absent from the
+        returned program (their reasons are in its ``fallbacks``) and run on
+        the lowered closures instead.  Returns None outright on parse
+        failure, for evaluation orders the bytecode does not pre-resolve,
+        or when no function compiles.  Any other exception raised by the
+        compiler is a defect and propagates rather than silently turning
+        the whole unit over to the closures.
         """
         if self.unit is None:
             return None
         if options not in self._bytecode:
             from repro.core.bytecode import compile_unit_bytecode
-            try:
-                self._bytecode[options] = compile_unit_bytecode(self.unit,
-                                                                options)
-            except Exception:  # pragma: no cover - safety net, not expected
-                self._bytecode[options] = None
+            self._bytecode[options] = compile_unit_bytecode(self.unit, options)
         return self._bytecode[options]
 
     def diagnostics(self) -> list[Diagnostic]:

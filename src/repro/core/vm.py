@@ -17,6 +17,9 @@ Design notes
   behavior by calling the *shared* helpers (``_read_binding``,
   ``_write_with_plan``, ``apply_binary``, ``to_boolean``, ...), so error
   kinds, messages, and order never fork from the lowered semantics.
+  Pointer registers hold boxed ``PointerValue`` objects, so every pointer
+  opcode is such a slow path over ``_pointer_add``, ``_deref_to_lvalue``,
+  ``_read_with_plan``/``_write_with_plan`` and ``apply_binary``.
 * **Memory slots** cache ``(data, base, size, binding)`` per activation:
   local arrays bind at their ``DECL``, globals bind lazily on first touch.
   ``data`` is the object's arena-backed byte store; flat loads/stores go
@@ -39,13 +42,16 @@ from repro.core.bytecode import (
     _SMODE_SIGNED,
     CompiledProgram,
     FnCode,
+    OP_BINDP,
     OP_BINDR,
     OP_BINOP,
     OP_BOOL,
     OP_CALL,
     OP_CHKE,
     OP_CONV,
+    OP_DECAY,
     OP_DECL,
+    OP_DEREF,
     OP_INC,
     OP_JMP,
     OP_JNZ,
@@ -53,9 +59,14 @@ from repro.core.bytecode import (
     OP_LDA,
     OP_LDE,
     OP_LDG,
+    OP_LDL,
     OP_LOADI,
     OP_MOV,
     OP_NOT,
+    OP_PBIN,
+    OP_PCONV,
+    OP_PIDX,
+    OP_PINC,
     OP_POPSC,
     OP_PUSHSC,
     OP_RAISE,
@@ -65,11 +76,12 @@ from repro.core.bytecode import (
     OP_STE,
     OP_STEP,
     OP_STG,
+    OP_STL,
     OP_STR,
     OP_UNOP,
     UNINIT,
 )
-from repro.core.conversions import to_boolean
+from repro.core.conversions import convert, to_boolean
 from repro.core.environment import LValue
 from repro.core.lowering import _read_binding, _read_with_plan, _write_with_plan
 from repro.core.memory import ArenaBytes
@@ -77,6 +89,9 @@ from repro.core.values import (
     ConcreteByte,
     IndeterminateValue,
     IntValue,
+    PointerValue,
+    UnknownByte,
+    decode_value,
     unknown_bytes,
 )
 from repro.errors import ResourceLimitError, UBKind, UndefinedBehaviorError
@@ -179,25 +194,33 @@ def _cond_slow(interp, value, rdmsg, rdline: int, line: int) -> bool:
     return to_boolean(value, options, line=line)
 
 
-def _binop_slow(interp, a, b, slow, order_mode: int):
+def _check_pair_reads(interp, a, amsg, aline, b, bmsg, bline, order_mode: int):
+    """Raise the deferred uninitialized read of an unsequenced operand pair,
+    the first operand in evaluation order first."""
+    if not interp.options.check_uninitialized:
+        return
+    if order_mode == 0:
+        if a is UNINIT and amsg is not None:
+            _raise_read(amsg, aline)
+        if b is UNINIT and bmsg is not None:
+            _raise_read(bmsg, bline)
+    else:
+        if b is UNINIT and bmsg is not None:
+            _raise_read(bmsg, bline)
+        if a is UNINIT and amsg is not None:
+            _raise_read(amsg, aline)
+
+
+def _binop_slow(interp, a, b, slow, order_mode: int, keep: bool = False):
+    """``apply_binary`` on boxed operands; ``keep`` leaves the result boxed
+    (pointer-typed results never live in a register as raw ints)."""
     op, line, ltype, rtype, lmsg, lline, rmsg, rline, _plan = slow
-    check_uninit = interp.options.check_uninitialized
-    if check_uninit:
-        if order_mode == 0:
-            if a is UNINIT and lmsg is not None:
-                _raise_read(lmsg, lline)
-            if b is UNINIT and rmsg is not None:
-                _raise_read(rmsg, rline)
-        else:
-            if b is UNINIT and rmsg is not None:
-                _raise_read(rmsg, rline)
-            if a is UNINIT and lmsg is not None:
-                _raise_read(lmsg, lline)
+    _check_pair_reads(interp, a, lmsg, lline, b, rmsg, rline, order_mode)
     profile = interp.profile
     result = interp.apply_binary(
         op, _box(a, ltype, profile), _box(b, rtype, profile), line
     )
-    return _unbox(result)
+    return result if keep else _unbox(result)
 
 
 def _unop_slow(interp, value, slow):
@@ -241,7 +264,6 @@ def _elem_pointer_slow(interp, record, index_value, info, line: int):
         _raise_read(idx_msg, idx_line)
     boxed = _box(index_value, idx_ctype, interp.profile)
     index = interp._require_int(boxed, line, "array subscript")
-    from repro.core.values import PointerValue
     decayed = PointerValue(base=record[1], offset=0, type=ct.PointerType(pointee=elem))
     return interp._pointer_add(decayed, index, line), elem
 
@@ -264,7 +286,6 @@ def _lda_slow(interp, address, value_reg_unused, esize, info, line: int):
 
 def _store_slow(interp, address, value, vinfo, rdmsg, rdline, line: int):
     """Store through a boxed pointer / of a non-int register value."""
-    from repro.core.values import PointerValue
     if type(address) is tuple:
         _data, base, offset = address
         address = PointerValue(
@@ -289,6 +310,103 @@ def _stg_slow(interp, record, value, info, line: int):
 
 def _ldg_slow(interp, record, line: int):
     return _unbox(_read_binding(interp, record[3], line))
+
+
+def _bind_pointer(interp, name: str, size: int):
+    """The register value of a freshly written pointer object: what
+    ``_read_binding`` decodes, with ``UNINIT`` standing for the reads that
+    would raise the uninitialized-read error."""
+    binding = interp.frames[-1].lookup(name)
+    data = interp.memory.objects[binding.base].data[0:size]
+    value = decode_value(data, binding.type, interp.profile)
+    if type(value) is IndeterminateValue and any(
+        type(byte) is UnknownByte for byte in data
+    ):
+        return UNINIT
+    return value
+
+
+def _pointer_operand(interp, value, ptype, rdmsg, rdline: int):
+    """Box a pointer register for a shared helper, raising the deferred
+    uninitialized read where ``_read_binding`` would have."""
+    if value is UNINIT:
+        if rdmsg is not None and interp.options.check_uninitialized:
+            _raise_read(rdmsg, rdline)
+        return _box(value, ptype, interp.profile)
+    return value
+
+
+def _pinc_slow(interp, value, delta: int, slow):
+    """``p++``/``p--`` on a non-pointer register value; returns (old, new)
+    exactly as the lowered ``run_incdec_ident`` computes them."""
+    line, vtype, rdmsg = slow
+    value = _pointer_operand(interp, value, vtype, rdmsg, line)
+    if type(value) is PointerValue:
+        return value, interp._pointer_add(value, delta, line)
+    old_int = interp._require_arithmetic(value, line, "operand of ++/--")
+    promoted = interp._promote(old_int)
+    result = interp._arith_result(promoted.value + delta, promoted.type, line)
+    new = convert(
+        result,
+        vtype,
+        interp.options,
+        line=line,
+        pointer_registry=interp.pointer_registry,
+    )
+    return value, new
+
+
+def _pidx(interp, a, b, info, line: int, order_mode: int):
+    """The lowered subscript core over a pointer operand: an ``LValue``."""
+    atype, amsg, aline, btype, bmsg, bline = info
+    _check_pair_reads(interp, a, amsg, aline, b, bmsg, bline, order_mode)
+    profile = interp.profile
+    base_value = _box(a, atype, profile)
+    index_value = _box(b, btype, profile)
+    if isinstance(index_value, PointerValue) and not isinstance(
+        base_value, PointerValue
+    ):
+        base_value, index_value = index_value, base_value  # i[p] form
+    pointer = interp._require_pointer(base_value, line, "subscripted value")
+    index = interp._require_int(index_value, line, "array subscript")
+    return LValue(
+        pointer=interp._pointer_add(pointer, index, line), type=pointer.pointee_type
+    )
+
+
+def _ldl(interp, lvalue, plans, line: int):
+    """Load through an ``LValue`` register (a dereferenced pointer)."""
+    plan = plans.plan_for(lvalue.type, interp.profile)
+    if plan is not None:
+        return _unbox(_read_with_plan(interp, lvalue, plan, line))
+    return _unbox(interp.read_lvalue(lvalue, line))
+
+
+def _stl(interp, lvalue, value, plans, line: int) -> None:
+    """Store a converted register value through an ``LValue`` register."""
+    boxed = _box(value, lvalue.type.unqualified(), interp.profile)
+    plan = plans.plan_for(lvalue.type, interp.profile)
+    if plan is not None:
+        _write_with_plan(interp, lvalue, plan, boxed, line)
+    else:
+        interp.write_lvalue(lvalue, boxed, line)
+
+
+def _pconv(interp, value, target, line: int, rdmsg, rdline: int, source):
+    """Conversion to a native pointer type (``convert`` on the boxed value)."""
+    if value is UNINIT:
+        if rdmsg is not None and interp.options.check_uninitialized:
+            _raise_read(rdmsg, rdline)
+        return UNINIT  # convert() passes indeterminate values through
+    src_type, explicit = source
+    return convert(
+        _box(value, src_type, interp.profile),
+        target,
+        interp.options,
+        line=line,
+        explicit=explicit,
+        pointer_registry=interp.pointer_registry,
+    )
 
 
 def _seq_conflict_check(memory, base: int, start: int, size: int, line: int) -> None:
@@ -452,7 +570,6 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
                 if value is not None and not (check_seq and memory.locs_written):
                     R[ins[1]] = value
                     continue
-                from repro.core.values import PointerValue
                 address = PointerValue(
                     base=address[1],
                     offset=address[2],
@@ -486,6 +603,39 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
         elif op == OP_RDCHK:
             if R[ins[1]] is UNINIT:
                 _raise_read(ins[2], ins[3])
+        elif op == OP_DEREF:
+            value = R[ins[2]]
+            if value.__class__ is not PointerValue:
+                value = _pointer_operand(interp, value, ins[6], ins[4], ins[5])
+            R[ins[1]] = interp._deref_to_lvalue(value, ins[3])
+        elif op == OP_LDL:
+            R[ins[1]] = _ldl(interp, R[ins[2]], ins[4], ins[3])
+        elif op == OP_PINC:
+            value = R[ins[1]]
+            if value.__class__ is PointerValue:
+                new = interp._pointer_add(value, ins[3], ins[4][0])
+            else:
+                value, new = _pinc_slow(interp, value, ins[3], ins[4])
+            R[ins[1]] = new
+            if ins[2] >= 0:
+                R[ins[2]] = value
+        elif op == OP_PBIN:
+            R[ins[1]] = _binop_slow(
+                interp, R[ins[2]], R[ins[3]], ins[4], order_mode, ins[5]
+            )
+        elif op == OP_STL:
+            _stl(interp, R[ins[1]], R[ins[2]], ins[4], ins[3])
+        elif op == OP_PIDX:
+            R[ins[1]] = _pidx(interp, R[ins[2]], R[ins[3]], ins[5], ins[4], order_mode)
+        elif op == OP_PCONV:
+            R[ins[1]] = _pconv(
+                interp, R[ins[2]], ins[3], ins[4], ins[5], ins[6], ins[7]
+            )
+        elif op == OP_DECAY:
+            record = S[ins[2]]
+            if record is None:
+                record = _bind_slot(interp, S, ins[2], ins[4])
+            R[ins[1]] = _read_binding(interp, record[3], ins[3])
         elif op == OP_CALL:
             _dst, name, ftype, args, line = ins[1], ins[2], ins[3], ins[4], ins[5]
             interp.current_line = line
@@ -527,6 +677,8 @@ def run_native(interp, program: CompiledProgram, fn: FnCode):
             obj = memory.objects[binding.base]
             value = _read_flat(obj.data, 0, ins[3], ins[4])
             R[ins[1]] = UNINIT if value is None else value
+        elif op == OP_BINDP:
+            R[ins[1]] = _bind_pointer(interp, ins[2], ins[3])
         elif op == OP_PUSHSC:
             interp.frames[-1].push_scope()
         elif op == OP_POPSC:

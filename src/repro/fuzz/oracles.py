@@ -152,6 +152,9 @@ def run_oracles(
     walker_tool = KccTool(options.without(enable_lowering=False))
     vm_tool = KccTool(options.without(engine="compiled"))
 
+    # One parse backs every leg: all tools share ``options.profile``, and a
+    # compiled unit is never altered by running it.  (No cross-case cache:
+    # a campaign sees each case once.)
     compiled = lowered_tool.compile_unit(case.source, filename=case.name)
     if compiled.parse_error is not None:
         report.add(
@@ -168,7 +171,6 @@ def run_oracles(
             signature=f"static:{first.kind.name}",
         )
         return report
-    walker_compiled = walker_tool.compile_unit(case.source, filename=case.name)
 
     # One strict run per engine; trace probes are passive, so attaching them
     # leaves the verdicts identical to unprobed runs while also feeding the
@@ -176,7 +178,7 @@ def run_oracles(
     lowered_probe = TraceRecorderProbe(filename=case.name)
     walker_probe = TraceRecorderProbe(filename=case.name)
     lowered_report = lowered_tool.run_unit(compiled, probes=[lowered_probe])
-    walker_report = walker_tool.run_unit(walker_compiled, probes=[walker_probe])
+    walker_report = walker_tool.run_unit(compiled, probes=[walker_probe])
     report.verdict = lowered_report.outcome.kind.value
     kinds = lowered_report.outcome.ub_kinds
     report.detected_kind = kinds[0].name if kinds else None
@@ -232,7 +234,7 @@ def run_oracles(
         _observed_oracle(report, lowered_tool, compiled, lowered_report, options)
 
     if oracle_config.check_ablation and case.is_bad and case.family is not None:
-        _ablation_oracle(report, options)
+        _ablation_oracle(report, options, compiled)
 
     if oracle_config.check_search:
         _search_oracle(report, lowered_tool, compiled, lowered_report, oracle_config)
@@ -356,7 +358,7 @@ def _observed_oracle(
         )
 
 
-def _ablation_oracle(report: OracleReport, options: CheckerOptions) -> None:
+def _ablation_oracle(report: OracleReport, options: CheckerOptions, compiled) -> None:
     case = report.case
     from repro.fuzz.generator import template_for
 
@@ -364,7 +366,7 @@ def _ablation_oracle(report: OracleReport, options: CheckerOptions) -> None:
     if not template.gated:
         return
     ablated_options = options.without(**{f"check_{case.family}": False})
-    ablated = KccTool(ablated_options).check(case.source, filename=case.name)
+    ablated = KccTool(ablated_options).run_unit(compiled)
     if any(kind in case.expected_kinds for kind in ablated.outcome.ub_kinds):
         report.add(
             "ablation",

@@ -101,13 +101,16 @@ def test_compiled_engine_is_actually_used():
     # And a function outside the native subset stays absent (per-function
     # fallback), without poisoning the rest of the program.
     mixed = tool.compile_unit(
-        "int f(int *p){ return *p; }\n"
+        "int f(int v){ double d = v; return (int)d; }\n"
         "int g(void){ return 7; }\n"
-        "int main(void){ int x = 1; return f(&x) - g() + 6; }")
+        "int main(void){ int x = 1; return f(x) - g() + 6; }")
     mixed_program = mixed.compiled_for(tool.options)
     assert mixed_program is not None
     assert "f" not in mixed_program.functions
     assert "g" in mixed_program.functions
+    assert "main" in mixed_program.functions
+    # The fallback keeps its reason.
+    assert mixed_program.fallbacks == {"f": "declaration of type double"}
 
 
 def test_engine_option_validation():
@@ -272,4 +275,178 @@ int main(void) {
 @pytest.mark.parametrize("label", list(ABLATIONS))
 def test_new_constructs_under_every_ablation(label):
     for name, source in NEW_CONSTRUCT_PROGRAMS.items():
+        assert_matrix(source, name, TOOLS[label], label)
+
+
+#: Flat-integer pointer locals and parameters run natively on the VM; each
+#: program names the function whose pointer code is under test.  Every
+#: check on these paths goes through the shared pointer helpers, so the
+#: three engines must agree under every ablation.
+POINTER_PROGRAMS = {
+    "walk-to-one-past-end": ("main", """
+int main(void) {
+    int a[4] = {1, 2, 3, 4};
+    int *p = a;
+    int s = 0;
+    while (p < a + 4) { s += *p; p++; }
+    return s;
+}
+"""),
+    "deref-one-past-end": ("main", """
+int main(void) {
+    int a[4] = {1, 2, 3, 4};
+    int *p = a;
+    int s = 0;
+    for (int i = 0; i < 4; i++) s += *p++;
+    return s + *p;
+}
+"""),
+    "null-deref-through-register": ("main", """
+int main(void) {
+    int a[2] = {5, 6};
+    int *p = a;
+    int s = *p;
+    p = 0;
+    if (!p) s = s + 1;
+    return s + *p;
+}
+"""),
+    "uninitialized-pointer-read": ("main", """
+int main(void) {
+    int a[2] = {5, 6};
+    int *p;
+    int *q = a;
+    int s = q[1];
+    if (s > 0) p = p + 1;
+    return s;
+}
+"""),
+    "difference-across-arrays": ("main", """
+int main(void) {
+    int a[4] = {0};
+    int b[4] = {0};
+    int *p = a + 1;
+    int *q = b;
+    long d = p - a;
+    if (d == 1) d = p - q;
+    return (int)d;
+}
+"""),
+    "relational-across-arrays": ("main", """
+int main(void) {
+    int a[4] = {0};
+    int b[4] = {0};
+    int *p = a;
+    int *q = b;
+    int r = p == q;
+    r = r + (p != q);
+    if (p < q) return 1;
+    return r;
+}
+"""),
+    "char-pointer-over-int-array": ("main", """
+int main(void) {
+    int a[2] = {0x01020304, 5};
+    char *c = (char *)a;
+    int s = 0;
+    for (int i = 0; i < 8; i++) s = s + c[i];
+    c[0] = 9;
+    return s + a[0] % 7;
+}
+"""),
+    "int-pointer-over-char-array": ("main", """
+int main(void) {
+    char buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    int *p = (int *)buf;
+    int s = buf[0];
+    s = s + *p;
+    return s;
+}
+"""),
+    "pointer-outlives-block-array": ("main", """
+int main(void) {
+    int *p;
+    int s = 0;
+    {
+        int b[3] = {7, 8, 9};
+        p = b;
+        s = p[1];
+    }
+    return s + *p;
+}
+"""),
+    "deref-assign-of-post-increment": ("main", """
+int main(void) {
+    int a[4] = {1, 2, 3, 4};
+    int *p = a;
+    *p = *p++;
+    return a[0] + *p;
+}
+"""),
+    "unsequenced-writes-through-aliases": ("main", """
+int main(void) {
+    int a[2] = {1, 2};
+    int *p = a;
+    int *q = a;
+    *p = (*q)++ + 1;
+    return a[0];
+}
+"""),
+    "pointer-parameter-fed-decayed-array": ("sum", """
+int sum(int *v, int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) s += v[i];
+    v[0] = s;
+    return s;
+}
+int bump(char *s, int n) {
+    char *e = s + n;
+    int k = 0;
+    while (s != e) { *s += 1; s++; k++; }
+    return k;
+}
+int main(void) {
+    int a[5] = {1, 2, 3, 4, 5};
+    char t[3] = {1, 2, 3};
+    int r = sum(a, 5) + bump(t, 3);
+    return r + a[0] + t[2] + sum(a, 6);
+}
+"""),
+    "pointer-operator-mix": ("main", """
+int main(void) {
+    int a[6] = {1, 2, 3, 4, 5, 6};
+    int *p = a + 5, *q = a;
+    char s[4] = {'a', 'b', 'c', 0};
+    char *c = s;
+    unsigned char *u = (unsigned char *)s;
+    int n = 0;
+    while (*c) { n += *c++ - 'a'; }
+    p -= 2; q += 1; --p; ++q;
+    p[0] += 10; *q *= 3; q[1]--; (*p)++;
+    int *r = p > q ? p : q;
+    if (p && !(q == 0) && r >= p) n += *r;
+    n += (int)(p - q) + u[1] + 1[q];
+    int *z = 0;
+    if (z == 0 && (z || p)) n++;
+    char *t = "xyz";
+    n += t[1];
+    t = "q";
+    return n + *t;
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", list(POINTER_PROGRAMS))
+def test_pointer_function_runs_natively(name):
+    function, source = POINTER_PROGRAMS[name]
+    tool = TOOLS["default"]["compiled"]
+    program = tool.compile_unit(source).compiled_for(tool.options)
+    assert program is not None
+    assert function in program.functions, program.fallbacks
+
+
+@pytest.mark.parametrize("label", list(ABLATIONS))
+def test_pointer_programs_under_every_ablation(label):
+    for name, (_function, source) in POINTER_PROGRAMS.items():
         assert_matrix(source, name, TOOLS[label], label)
