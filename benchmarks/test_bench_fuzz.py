@@ -57,6 +57,12 @@ def test_fuzz_acceptance_campaign(capsys):
         row = table[family]
         assert row["correct"] == row["cases"], (family, row)
     assert table["clean"]["correct"] == table["clean"]["cases"]
+    # One results model: test_campaign_acceptance runs this same campaign
+    # as journaled work units, and its committed baseline must agree with
+    # this run's family table on every family.
+    baseline = json.loads((RESULTS_DIR / "campaign_baseline.json").read_text())
+    assert table == {family: {"cases": row["cases"], "correct": row["correct"]}
+                     for family, row in baseline["families"].items()}
 
     # Verdict identity: a serial slice of the same campaign must agree
     # byte-for-byte with the pooled run's slice.

@@ -42,7 +42,7 @@ import sys
 from typing import Optional
 
 from repro.cfront import ctypes as ct
-from repro.core.config import CheckerOptions
+from repro.core.config import ENGINES, CheckerOptions
 from repro.core.kcc import CheckReport, KccTool
 from repro.errors import OutcomeKind
 from repro.api.batch import iter_check_many
@@ -71,7 +71,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                              "instead of the lowered fast path (escape hatch; "
                              "verdicts are identical)")
     parser.add_argument("--engine", default="compiled",
-                        choices=("walker", "lowered", "compiled"),
+                        choices=ENGINES,
                         help="dynamic-stage engine: the flat register-"
                              "bytecode VM (default), the lowered closure "
                              "trees, or the legacy AST walker; verdicts are "

@@ -325,9 +325,9 @@ class Checker:
         Generates ``count`` ground-truth-labeled programs from ``seed``
         (clean, or with one planted defect per ``inject``), pushes each
         through the oracle stack of :mod:`repro.fuzz.oracles`, and returns
-        a :class:`repro.fuzz.CampaignResult`.  ``jobs=N`` shards the case
-        indices over the process pool with byte-identical results; corpus
-        and reduction behave as on ``kcc-check fuzz``.
+        a :class:`repro.fuzz.CampaignResult`.  ``jobs=N`` spreads the work
+        units over the warm pool with byte-identical results; corpus and
+        reduction behave as on ``kcc-check fuzz``.
         """
         from repro.fuzz.campaign import CampaignConfig, run_campaign
         from repro.fuzz.generator import GeneratorConfig

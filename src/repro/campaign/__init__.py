@@ -1,15 +1,16 @@
 """``repro.campaign``: journaled, resumable, distributed work-unit campaigns.
 
-The fuzz/suite/search drivers of earlier PRs run a whole workload inside
-one process invocation: kill the process and everything already computed is
-gone.  This package converts a campaign into **relocatable work units** —
-serializable slices of a deterministic workload, each with a stable
-content-addressed id — plus an **append-only journal** that records every
-unit claimed and completed, so a campaign survives restarts (replay the
-journal, re-dispatch only what is missing), shards across processes and
-machines (run disjoint ``--units`` slices, then ``merge`` the journals),
-and reports continuously (``campaign-progress`` events stream per-family
-rates and throughput over the PR-6 NDJSON protocol while units complete).
+This package is the one campaign driver: every fuzz campaign
+(:func:`repro.fuzz.campaign.run_campaign`, ``Checker.fuzz``, ``kcc-check
+fuzz``, the service's ``fuzz`` op) and every ``kcc-check campaign`` run
+goes through its scheduler.  It converts a campaign into **relocatable work
+units** — serializable slices of a deterministic workload, each with a
+stable content-addressed id — plus an optional **append-only journal** of
+every unit claimed and completed, so a journaled campaign survives restarts
+(replay the journal, re-dispatch only what is missing), shards across
+processes and machines (run disjoint ``--units`` slices, then ``merge``
+the journals), and reports continuously (``campaign-progress`` events
+stream per-family rates and throughput while units complete).
 
 Layer map:
 
@@ -18,9 +19,9 @@ Layer map:
   (partition), :func:`execute_unit` (run one unit anywhere);
 * :mod:`repro.campaign.journal` — the JSONL journal: fsync batching,
   crash-safe truncated-tail recovery, replay, merge;
-* :mod:`repro.campaign.scheduler` — dispatch units over the warm pool or
-  ``kcc-check serve`` endpoints, with retries, backoff, global finding
-  dedup, and coverage-guided family bias;
+* :mod:`repro.campaign.scheduler` — dispatch units inline, over the warm
+  pool or to ``kcc-check serve`` endpoints, journaled or in memory, with
+  retries, backoff, global finding dedup, and coverage-guided family bias;
 * :mod:`repro.campaign.aggregate` — the incremental results plane.
 
 Every guarantee rests on PR 5's per-item seed derivation: a unit's result

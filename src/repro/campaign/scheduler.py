@@ -1,9 +1,9 @@
 """The campaign scheduler: partition, dispatch, retry, dedup, resume.
 
 :func:`run_campaign_spec` turns a :class:`CampaignSpec` into work units,
-journals the partition, then drives every unit to completion over one of
-three backends — inline (``jobs=1``: execute in this process, the
-deterministic reference), the PR-6 warm pool (``jobs>1``: one staged chunk
+journals the partition (given a path), then drives every unit to completion
+over one of three backends — inline (``jobs=1``: execute in this process,
+the deterministic reference), the warm pool (``jobs>1``: one staged chunk
 per unit, completion-ordered collection), or remote ``kcc-check serve``
 endpoints (one client per endpoint, whole units over the wire).  Because a
 unit's result depends only on its identity, the three backends produce
@@ -120,15 +120,29 @@ class CampaignOutcome:
 # ---------------------------------------------------------------------------
 
 
+class _NoJournal:
+    """The writer of an in-memory campaign: every record is dropped."""
+
+    def append(self, record: dict[str, Any]) -> None:
+        pass
+
+    def sync(self) -> None:
+        pass
+
+
 def run_campaign_spec(
     spec: CampaignSpec,
-    journal_path: str | Path,
+    journal_path: str | Path | None = None,
     config: Optional[ScheduleConfig] = None,
 ) -> CampaignOutcome:
-    """Partition a fresh campaign, journal it, and drive it to completion."""
+    """Partition a fresh campaign, journal it, and drive it to completion.
+
+    With no ``journal_path`` the campaign runs in memory: the same dispatch,
+    retry and commit code, with nothing written.
+    """
     config = config or ScheduleConfig()
-    path = Path(journal_path)
-    if path.exists() and path.stat().st_size > 0:
+    path = None if journal_path is None else Path(journal_path)
+    if path is not None and path.exists() and path.stat().st_size > 0:
         raise CampaignError(
             f"journal {path} already exists; use resume_campaign() "
             "(CLI: kcc-check campaign resume / run --resume-from)"
@@ -137,6 +151,8 @@ def run_campaign_spec(
     records = [campaign_record(spec, len(units))]
     records.extend(unit_record(unit) for unit in units)
     state = replay(records)
+    if path is None:
+        return _drive(state, _NoJournal(), config)
     with JournalWriter(path, fsync_every=config.fsync_every) as writer:
         for record in records:
             writer.append(record)
@@ -230,7 +246,7 @@ class _Dispatcher:
 
     spec: CampaignSpec
     state: JournalState
-    writer: JournalWriter
+    writer: JournalWriter | _NoJournal
     config: ScheduleConfig
     aggregate: CampaignAggregate
     executed: int = 0
@@ -280,15 +296,17 @@ class _Dispatcher:
             snapshot["unit"] = unit_id
             self.config.progress(snapshot)
 
-    def fail(self, unit: dict[str, Any], error: Exception) -> bool:
-        """Journal a failed attempt; returns whether to retry."""
+    def fail(self, unit: dict[str, Any], error: Exception) -> None:
+        """Journal a failed attempt and back off; raise once out of retries."""
         unit_id = unit["id"]
         attempt = self.attempts.get(unit_id, 1)
         self.writer.append(
             failed_record(unit_id, attempt, f"{type(error).__name__}: {error}")
         )
         if attempt > self.config.retries:
-            return False
+            raise CampaignError(
+                f"unit {unit_id} failed after {attempt} attempt(s): {error}"
+            ) from error
         time.sleep(
             backoff_delay(
                 attempt,
@@ -296,12 +314,11 @@ class _Dispatcher:
                 cap=self.config.backoff_cap,
             )
         )
-        return True
 
 
 def _drive(
     state: JournalState,
-    writer: JournalWriter,
+    writer: JournalWriter | _NoJournal,
     config: ScheduleConfig,
     *,
     journal_path: Optional[str] = None,
@@ -341,12 +358,8 @@ def _drive_inline(dispatcher: _Dispatcher, pending: list[dict[str, Any]]) -> Non
             try:
                 result = execute_unit(dispatcher.header, unit)
             except Exception as error:
-                if dispatcher.fail(unit, error):
-                    continue
-                raise CampaignError(
-                    f"unit {unit['id']} failed after "
-                    f"{dispatcher.attempts[unit['id']]} attempt(s): {error}"
-                ) from error
+                dispatcher.fail(unit, error)
+                continue
             dispatcher.commit(unit, result)
             break
 
@@ -367,28 +380,26 @@ def _drive_pool(dispatcher: _Dispatcher, pending: list[dict[str, Any]]) -> None:
         future = pool.submit_staged_chunk(execute_unit, dispatcher.header, [unit])
         in_flight[future] = unit
 
-    while pending or in_flight:
-        while pending and len(in_flight) < jobs:
-            dispatch(dispatcher.pick(pending))
-        done, _ = concurrent.futures.wait(
-            in_flight,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        for future in done:
-            unit = in_flight.pop(future)
-            try:
-                result = future.result()[0]
-            except Exception as error:
-                if dispatcher.fail(unit, error):
+    try:
+        while pending or in_flight:
+            while pending and len(in_flight) < jobs:
+                dispatch(dispatcher.pick(pending))
+            done, _ = concurrent.futures.wait(
+                in_flight,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+            for future in done:
+                unit = in_flight.pop(future)
+                try:
+                    result = future.result()[0]
+                except Exception as error:
+                    dispatcher.fail(unit, error)
                     dispatch(unit)
                     continue
-                for open_future in in_flight:
-                    open_future.cancel()
-                raise CampaignError(
-                    f"unit {unit['id']} failed after "
-                    f"{dispatcher.attempts[unit['id']]} attempt(s): {error}"
-                ) from error
-            dispatcher.commit(unit, result)
+                dispatcher.commit(unit, result)
+    finally:
+        for future in in_flight:  # non-empty only when a unit gave up
+            future.cancel()
 
 
 def _drive_endpoints(dispatcher: _Dispatcher, pending: list[dict[str, Any]]) -> None:
@@ -429,14 +440,9 @@ def _drive_endpoints(dispatcher: _Dispatcher, pending: list[dict[str, Any]]) -> 
                     try:
                         result = future.result()
                     except Exception as error:
-                        if dispatcher.fail(unit, error):
-                            pending.insert(0, unit)
-                            continue
-                        raise CampaignError(
-                            f"unit {unit['id']} failed after "
-                            f"{dispatcher.attempts[unit['id']]} attempt(s): "
-                            f"{error}"
-                        ) from error
+                        dispatcher.fail(unit, error)
+                        pending.insert(0, unit)
+                        continue
                     dispatcher.commit(unit, result)
     finally:
         for client in clients:

@@ -311,35 +311,23 @@ def unit_result_digest(records: list[dict[str, Any]]) -> str:
     return _digest(records)
 
 
-def fuzz_campaign_config(spec: CampaignSpec, unit: Optional[WorkUnit] = None):
-    """The :class:`repro.fuzz.campaign.CampaignConfig` a fuzz unit runs under."""
-    from repro.fuzz.campaign import CampaignConfig
-    from repro.fuzz.generator import GeneratorConfig
-    from repro.fuzz.oracles import OracleConfig
-
-    inject = spec.inject
-    if unit is not None and "inject" in unit.params:
-        inject = unit.params["inject"]
-    elif inject == ROTATE:
-        inject = "mixed"
-    return CampaignConfig(
-        seed=spec.seed,
-        count=spec.count,
-        inject=inject,
-        generator=GeneratorConfig.from_dict(spec.generator),
-        oracles=OracleConfig.from_dict(spec.oracles),
-    )
-
-
 def _fuzz_records(
     spec: CampaignSpec, unit: WorkUnit, options: CheckerOptions
 ) -> list[dict[str, Any]]:
-    from repro.fuzz.campaign import examine_case, worker_config
+    from repro.fuzz.campaign import examine_case
+    from repro.fuzz.generator import GeneratorConfig
+    from repro.fuzz.oracles import OracleConfig
 
-    config = fuzz_campaign_config(spec, unit)
-    header = (worker_config(config), options)
+    inject = unit.params.get("inject", spec.inject)  # rotate units name one
+    if inject == ROTATE:
+        inject = "mixed"
+    generator = GeneratorConfig.from_dict(spec.generator)
+    oracles = OracleConfig.from_dict(spec.oracles)
     lo, hi = int(unit.params["lo"]), int(unit.params["hi"])
-    return [examine_case(header, index).to_dict() for index in range(lo, hi)]
+    return [
+        examine_case(spec.seed, index, inject, generator, oracles, options).to_dict()
+        for index in range(lo, hi)
+    ]
 
 
 def _suite_records(
@@ -418,12 +406,14 @@ def _search_records(
     return [record]
 
 
-def _summarize(records: list[dict[str, Any]]) -> dict[str, dict[str, int]]:
-    """The per-family table fragment of one unit (mergeable, deterministic).
+def family_table(records: list[dict[str, Any]]) -> dict[str, dict[str, int]]:
+    """Ground-truth detection per family over case records.
 
-    Mirrors :meth:`repro.fuzz.campaign.CampaignResult.family_table` exactly,
-    so an aggregate over unit summaries is byte-identical to the table a
-    monolithic campaign run computes from its records.
+    The one family-table formula: a unit's ``summary`` is this table over
+    its records, :class:`~repro.campaign.aggregate.CampaignAggregate` sums
+    those summaries, and :meth:`repro.fuzz.campaign.CampaignResult.family_table`
+    applies it to a whole campaign's records.  A case counts as correct
+    only when its verdict upholds the ground truth and no oracle complained.
     """
     table: dict[str, dict[str, int]] = {}
     for record in records:
@@ -463,7 +453,8 @@ def execute_unit(header: tuple, unit_dict: dict[str, Any]) -> dict[str, Any]:
 
     ``header`` is ``(spec_dict, options_wire_dict_or_None)`` — shipped once
     per chunk by the warm pool's staged submission, and exactly what the
-    ``unit`` service op carries over the wire.  The result is a plain dict
+    ``unit`` service op carries over the wire; without header options the
+    spec's own ``options`` apply.  The result is a plain dict
     whose ``digest`` covers only deterministic payload (records), never
     timing, so any two executions of one unit can be checked for agreement.
     """
@@ -471,7 +462,7 @@ def execute_unit(header: tuple, unit_dict: dict[str, Any]) -> dict[str, Any]:
 
     spec_dict, options_dict = header
     spec = CampaignSpec.from_dict(spec_dict)
-    options = options_from_dict(options_dict) if options_dict else DEFAULT_OPTIONS
+    options = options_from_dict(options_dict or spec.options or None)
     unit = WorkUnit.from_dict(unit_dict)
     if unit.spec_digest != spec.digest():
         raise ValueError(
@@ -494,7 +485,7 @@ def execute_unit(header: tuple, unit_dict: dict[str, Any]) -> dict[str, Any]:
         "kind": unit.kind,
         "cases": len(records),
         "digest": unit_result_digest(records),
-        "summary": _summarize(records),
+        "summary": family_table(records),
         "findings": _findings(records),
         "records": records,
         "elapsed": time.perf_counter() - start,
@@ -526,7 +517,7 @@ __all__ = [
     "campaign_units",
     "canonical_json",
     "execute_unit",
-    "fuzz_campaign_config",
+    "family_table",
     "strip_result",
     "unit_result_digest",
 ]

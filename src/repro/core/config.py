@@ -16,6 +16,10 @@ from dataclasses import dataclass, field, replace
 from repro.cfront.ctypes import ImplementationProfile, LP64
 
 
+#: The dynamic-stage engines :attr:`CheckerOptions.engine` may name.
+ENGINES = ("walker", "lowered", "compiled")
+
+
 @dataclass(frozen=True)
 class CheckerOptions:
     """Options controlling which undefinedness checks the semantics applies."""
@@ -81,7 +85,7 @@ class CheckerOptions:
         forces the walker regardless of :attr:`engine`, so existing ablation
         call sites keep their meaning.
         """
-        if self.engine not in ("walker", "lowered", "compiled"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; "
                              f"expected 'walker', 'lowered' or 'compiled'")
         if not self.enable_lowering:

@@ -14,9 +14,10 @@ process pool — into an *unbounded, seedable* source of labeled C programs:
   program: walker-vs-lowered equality, strict-vs-observed consistency,
   event-stream equality, ground-truth verdicts, ablation monotonicity,
   optional bounded evaluation-order-search agreement;
-* :mod:`repro.fuzz.campaign` — the corpus driver: fans a campaign out over
-  the process pool (verdict-identical to serial), streams mismatches to a
-  replayable JSON corpus, dedups by diagnostic signature;
+* :mod:`repro.fuzz.campaign` — campaigns: runs one as work units through
+  the :mod:`repro.campaign` scheduler (verdict-identical for any ``jobs``,
+  journaled or not), streams mismatches to a replayable JSON corpus, dedups
+  by diagnostic signature;
 * :mod:`repro.fuzz.reduce` — a ddmin-style statement/expression reducer
   that shrinks any mismatching program while preserving its oracle failure.
 """

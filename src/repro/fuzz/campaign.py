@@ -2,9 +2,9 @@
 
 A campaign is a deterministic function of ``(seed, count, configs)``: case
 ``i`` derives every random decision from ``(seed, "fuzz", "case", i)``, so
-the campaign's result is **byte-identical** whether it runs serially or
-sharded round-robin over the PR-1 process pool (``jobs=N``) — randomness is
-per *item*, never per *worker*.  That identity is pinned by
+the result is **byte-identical** however :mod:`repro.campaign`'s scheduler,
+the one campaign driver, slices and places the work units (``jobs=N``,
+journaled or not).  That identity is pinned by
 ``tests/fuzz/test_campaign.py``.
 
 Mismatches stream to a corpus directory as replayable JSON (the generating
@@ -18,13 +18,16 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
 from repro.fuzz.generator import GeneratorConfig, generate_case, regenerate
 from repro.fuzz.oracles import OracleConfig, OracleReport, run_oracles
 from repro.reporting import render_table
+
+if TYPE_CHECKING:
+    from repro.campaign.workunit import CampaignSpec
 
 #: Corpus entries carry a schema tag so future layout changes stay readable.
 CORPUS_SCHEMA = "repro.fuzz.corpus/1"
@@ -95,18 +98,7 @@ class CaseRecord:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CaseRecord":
         """Rehydrate a record from its ``to_dict`` form (journal replay)."""
-        return cls(
-            index=data["index"],
-            name=data["name"],
-            injected=data.get("injected"),
-            family=data.get("family"),
-            verdict=data["verdict"],
-            detected_kind=data.get("detected_kind"),
-            ok=data["ok"],
-            failures=list(data.get("failures", ())),
-            source=data.get("source"),
-            reduced_source=data.get("reduced_source"),
-        )
+        return cls(**data)
 
 
 @dataclass
@@ -133,19 +125,9 @@ class CampaignResult:
 
     def family_table(self) -> dict[str, dict[str, int]]:
         """Ground-truth detection per injected family (clean under "clean")."""
-        table: dict[str, dict[str, int]] = {}
-        for record in self.records:
-            key = record.family or ("terminal" if record.injected else "clean")
-            row = table.setdefault(key, {"cases": 0, "correct": 0})
-            row["cases"] += 1
-            if record.injected:
-                correct = record.verdict != "defined"
-            else:
-                correct = record.verdict == "defined"
-            # A case is "correct" only when no oracle complained either.
-            if correct and record.ok:
-                row["correct"] += 1
-        return table
+        from repro.campaign.workunit import family_table
+
+        return family_table([record.to_dict() for record in self.records])
 
     def to_dict(self) -> dict[str, Any]:
         # "timing" is the one machine-dependent key: comparisons asserting
@@ -191,18 +173,17 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def _examine_case(
-    config: CampaignConfig,
+def examine_case(
+    seed: int,
     index: int,
+    inject: Optional[str],
+    generator: GeneratorConfig,
+    oracles: OracleConfig,
     options: CheckerOptions,
 ) -> CaseRecord:
-    case = generate_case(
-        config.seed,
-        index,
-        config=config.generator,
-        inject=config.inject,
-    )
-    report = run_oracles(case, options=options, oracle_config=config.oracles)
+    """Generate case ``index`` and run the oracle stack on it (any process)."""
+    case = generate_case(seed, index, config=generator, inject=inject)
+    report = run_oracles(case, options=options, oracle_config=oracles)
     record = CaseRecord(
         index=index,
         name=case.name,
@@ -218,26 +199,41 @@ def _examine_case(
     return record
 
 
-def worker_config(config: CampaignConfig) -> CampaignConfig:
-    """The per-worker view of a campaign config.
+def campaign_spec(
+    config: CampaignConfig,
+    options: CheckerOptions = DEFAULT_OPTIONS,
+    *,
+    workers: Optional[int] = None,
+) -> CampaignSpec:
+    """The work-unit spec of a fuzz campaign (corpus and reduction aside).
 
-    Workers examine cases; corpus streaming and reduction happen once, in
-    the driver, so the worker copy drops them (and its ``jobs``, which only
-    the driver interprets).
+    Units are sized by the pool's chunk rule for ``workers`` (default:
+    ``config.jobs``), so a parallel run keeps every worker busy.
     """
-    return replace(config, jobs=1, corpus_dir=None, reduce_failures=False)
+    from repro.campaign.workunit import CampaignSpec
+    from repro.service.pool import chunk_size, resolve_jobs
+    from repro.service.protocol import options_to_dict
+
+    jobs = resolve_jobs(config.jobs if workers is None else workers)
+    return CampaignSpec(
+        kind="fuzz",
+        seed=config.seed,
+        count=config.count,
+        unit_size=chunk_size(config.count, jobs),
+        inject=config.inject,
+        generator=config.generator.to_dict(),
+        oracles=config.oracles.to_dict(),
+        options=options_to_dict(options),
+    )
 
 
-def examine_case(task_header: tuple, index: int) -> CaseRecord:
-    """Pool worker: examine one case (module-level, picklable).
-
-    ``task_header`` is ``(config, options)`` — shipped once per chunk by the
-    warm pool's staged submission, never once per case.  Case ``index``
-    derives all of its randomness from ``(config.seed, index)``, so the
-    record is identical whichever worker (or the driver itself) runs it.
-    """
-    config, options = task_header
-    return _examine_case(config, index, options)
+def case_records(results: Iterable[dict[str, Any]]) -> list[CaseRecord]:
+    """The case records of fuzz unit results, in the order given."""
+    return [
+        CaseRecord.from_dict(entry)
+        for result in results
+        for entry in result.get("records", ())
+    ]
 
 
 def finalize_campaign(
@@ -249,12 +245,11 @@ def finalize_campaign(
 ) -> CampaignResult:
     """Assemble a result from examined records; reduce/stream the corpus.
 
-    Split out of :func:`run_campaign` so drivers that schedule their own
-    spans — the checking service streams progress and honors cancellation
-    between chunks — share the exact corpus/reduction semantics.
+    Split out of :func:`run_campaign` so the checking service, which runs
+    the units itself to stream progress and honor cancellation, shares the
+    exact corpus/reduction semantics.
     """
-    result = CampaignResult(config=config, records=records)
-    result.elapsed_seconds = elapsed_seconds
+    result = CampaignResult(config, records, elapsed_seconds)
     if config.reduce_failures:
         _reduce_mismatches(result, options)
     if config.corpus_dir is not None:
@@ -268,73 +263,33 @@ def run_campaign(
     options: CheckerOptions = DEFAULT_OPTIONS,
     journal: Optional[str] = None,
 ) -> CampaignResult:
-    """Run one campaign; ``jobs=N`` output is byte-identical to serial.
+    """Run one campaign as work units through the campaign scheduler.
 
-    With ``journal`` set, the campaign routes through :mod:`repro.campaign`
-    work units instead of the flat index sweep: progress is journaled to
-    the given path, a journal left by a killed run is resumed (completed
-    units are never re-executed), and the result is still byte-identical —
-    per-case seed derivation makes the slicing invisible.
+    With ``journal`` set, progress is journaled to that path, a unit that
+    raises is retried with backoff, and a journal left by a killed run is
+    resumed (completed units never re-execute).  Without one, the first
+    exception in a case ends the run as :class:`repro.campaign.CampaignError`.
+    Apart from ``timing`` and ``config.jobs``, the result is byte-identical
+    for every ``jobs`` value, with or without a journal.
     """
-    from repro.service.pool import run_staged
-
-    if journal is not None:
-        return run_journaled_campaign(config, journal, options=options)
-    start = time.perf_counter()
-    indices = list(range(config.count))
-    jobs = max(1, int(config.jobs))
-    header = (worker_config(config), options)
-    if jobs <= 1:
-        records = [examine_case(header, index) for index in indices]
-    else:
-        # Contiguous chunks over the warm pool: per-case seed derivation
-        # makes placement irrelevant to the bytes, so the simple in-order
-        # chunking both preserves record order and streams results early.
-        records = run_staged(examine_case, header, indices, jobs=jobs)
-    return finalize_campaign(
-        config, records, options=options, elapsed_seconds=time.perf_counter() - start
+    from repro.campaign.scheduler import (
+        ScheduleConfig,
+        resume_campaign,
+        run_campaign_spec,
     )
 
-
-def run_journaled_campaign(
-    config: CampaignConfig,
-    journal_path: str | pathlib.Path,
-    *,
-    options: CheckerOptions = DEFAULT_OPTIONS,
-) -> CampaignResult:
-    """Run (or resume) a fuzz campaign through ``repro.campaign`` units.
-
-    The campaign is partitioned into journaled work units; an existing
-    journal at ``journal_path`` is resumed (only missing units execute).
-    The per-case records are reconstructed from the journal in unit order,
-    so the returned :class:`CampaignResult` is byte-identical (modulo the
-    documented ``timing`` key) to :func:`run_campaign` without a journal.
-    """
-    from repro.campaign import CampaignSpec, resume_campaign, run_campaign_spec
-    from repro.campaign.scheduler import ScheduleConfig
-    from repro.service.protocol import options_to_dict
-
     start = time.perf_counter()
-    spec = CampaignSpec(
-        kind="fuzz",
-        seed=config.seed,
-        count=config.count,
-        inject=config.inject,
-        generator=config.generator.to_dict(),
-        oracles=config.oracles.to_dict(),
-        options=options_to_dict(options),
-    )
-    schedule = ScheduleConfig(jobs=max(1, int(config.jobs)))
-    path = pathlib.Path(journal_path)
-    if path.exists() and path.stat().st_size > 0:
+    # Without a journal a retry would only repeat the same work, so an
+    # exception in a case fails the run at once.
+    retries = ScheduleConfig.retries if journal is not None else 0
+    schedule = ScheduleConfig(jobs=max(1, int(config.jobs)), retries=retries)
+    path = None if journal is None else pathlib.Path(journal)
+    if path is not None and path.exists() and path.stat().st_size > 0:
         outcome = resume_campaign(path, schedule)
     else:
-        outcome = run_campaign_spec(spec, path, schedule)
-    records = [
-        CaseRecord.from_dict(entry)
-        for unit_id in outcome.state.units
-        for entry in outcome.state.results[unit_id].get("records", ())
-    ]
+        outcome = run_campaign_spec(campaign_spec(config, options), path, schedule)
+    state = outcome.state
+    records = case_records(state.results[unit_id] for unit_id in state.units)
     return finalize_campaign(
         config, records, options=options, elapsed_seconds=time.perf_counter() - start
     )
@@ -444,11 +399,11 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "CaseRecord",
+    "campaign_spec",
+    "case_records",
     "examine_case",
     "finalize_campaign",
     "replay_corpus_entry",
     "run_campaign",
-    "run_journaled_campaign",
-    "worker_config",
     "write_corpus_entry",
 ]

@@ -53,6 +53,7 @@ __all__ = [
     "DEFAULT_CHUNKSIZE",
     "STAGE_THRESHOLD_BYTES",
     "WarmPool",
+    "chunk_size",
     "get_pool",
     "pool_stats",
     "resolve_jobs",
@@ -80,6 +81,18 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, int(jobs))
 
 
+def chunk_size(total: int, workers: int) -> int:
+    """Items per chunk when ``total`` items spread over ``workers``.
+
+    The one chunking rule: pool batches and campaign work units both use it.
+    It aims for a few chunks per worker so stragglers rebalance, while
+    keeping chunks big enough to amortize the round-trip.
+    """
+    if total <= workers:
+        return 1
+    return min(DEFAULT_CHUNKSIZE, max(1, total // (workers * 4)))
+
+
 # ---------------------------------------------------------------------------
 # Worker side: warm-up, chunk execution, staged-payload cache
 # ---------------------------------------------------------------------------
@@ -92,6 +105,7 @@ def _warm_worker() -> None:  # pragma: no cover - runs in the worker process
     them at spawn keeps task latency flat from the first submission on.
     """
     import repro.api.session  # noqa: F401  (SHARED_COMPILE_CACHE lives here)
+    import repro.campaign.workunit  # noqa: F401  (every campaign unit runs here)
     import repro.core.interpreter  # noqa: F401
     import repro.core.kcc  # noqa: F401
     import repro.core.lowering  # noqa: F401
@@ -211,7 +225,7 @@ class WarmPool:
     ) -> list:
         """Map ``fn`` over ``tasks`` in order, one future per chunk."""
         tasks = list(tasks)
-        size = self._effective_chunksize(len(tasks), chunksize)
+        size = chunksize or chunk_size(len(tasks), self.workers)
         futures = [self.submit_chunk(fn, chunk) for chunk in _chunked(tasks, size)]
         return self._collect(futures)
 
@@ -229,7 +243,7 @@ class WarmPool:
         large it is staged to a spool file and shipped by reference.
         """
         items = list(items)
-        size = self._effective_chunksize(len(items), chunksize)
+        size = chunksize or chunk_size(len(items), self.workers)
         spans = [
             (start, min(start + size, len(items)))
             for start in range(0, len(items), size)
@@ -269,16 +283,6 @@ class WarmPool:
         with self._lock:
             self.batches_run += 1
         return results
-
-    def _effective_chunksize(self, total: int, chunksize: Optional[int]) -> int:
-        if chunksize is not None:
-            return max(1, int(chunksize))
-        if total <= self.workers:
-            return 1
-        # Aim for a few chunks per worker so stragglers rebalance, while
-        # keeping chunks big enough to amortize the round-trip.
-        per_worker = max(1, total // (self.workers * 4))
-        return min(DEFAULT_CHUNKSIZE, per_worker)
 
     # -- lifecycle ------------------------------------------------------------
     @property

@@ -45,11 +45,12 @@ request cannot take down the stream of a well-formed concurrent job.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Iterable, Optional
 
 from repro.cfront import ctypes as ct
-from repro.core.config import CheckerOptions, DEFAULT_OPTIONS
+from repro.core.config import ENGINES, CheckerOptions, DEFAULT_OPTIONS
 
 #: Protocol identifier, announced in the ``hello`` frame.
 PROTOCOL = "repro.service/1"
@@ -259,28 +260,56 @@ def validate_request(frame: dict[str, Any]) -> dict[str, Any]:
 # CheckerOptions over the wire
 # ---------------------------------------------------------------------------
 
-#: Option fields a client may set, with the expected scalar type of each.
-_OPTION_FIELDS: dict[str, type] = {
-    "check_arithmetic": bool,
-    "check_memory": bool,
-    "check_sequencing": bool,
-    "check_const": bool,
-    "check_pointer_provenance": bool,
-    "check_uninitialized": bool,
-    "check_effective_types": bool,
-    "check_functions": bool,
-    "max_steps": int,
-    "max_call_depth": int,
-    "max_heap_objects": int,
-    "enable_lowering": bool,
-    "evaluation_order": str,
-    "max_search_paths": int,
-}
+def _wire_types(cls: type) -> dict[str, type]:
+    """Each scalar field of dataclass ``cls`` with its type (its default's)."""
+    return {
+        field.name: type(field.default)
+        for field in dataclasses.fields(cls)
+        if field.default is not dataclasses.MISSING
+    }
+
+
+#: Option fields a client may set, and the fields of a profile sent as an
+#: object, each with its expected scalar type.
+_OPTION_FIELDS = _wire_types(CheckerOptions)
+_PROFILE_FIELDS = _wire_types(ct.ImplementationProfile)
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
+
+
+def _scalars_from_wire(
+    data: dict[str, Any], types: dict[str, type], what: str
+) -> dict[str, Any]:
+    """Check every field of ``data`` against ``types``; return ``data``."""
+    for key, value in data.items():
+        expected = types.get(key)
+        if expected is None:
+            raise _bad(f"unknown {what} field {key!r}")
+        if type(value) is not expected:  # exact: a JSON bool is no integer
+            raise _bad(f"{what} {key!r} must be {_TYPE_NAMES[expected]}")
+    return data
+
+
+def _profile_from_wire(value: Any) -> ct.ImplementationProfile:
+    if isinstance(value, dict):
+        fields = _scalars_from_wire(value, _PROFILE_FIELDS, "profile")
+        return ct.ImplementationProfile(**fields)
+    if value not in ct.PROFILES:
+        known = ", ".join(sorted(ct.PROFILES))
+        raise _bad(f"unknown profile {value!r}; expected one of {known}")
+    return ct.PROFILES[value]
 
 
 def options_to_dict(options: CheckerOptions) -> dict[str, Any]:
-    """Serialize options for a request frame (profile travels by name)."""
-    data: dict[str, Any] = {"profile": options.profile.name}
+    """Serialize options for a request frame: only non-default fields.
+
+    A registered profile travels by name; any other profile (a custom one,
+    or one that merely reuses a registered name) travels as its fields.
+    """
+    profile = options.profile
+    registered = ct.PROFILES.get(profile.name) == profile
+    data: dict[str, Any] = {
+        "profile": profile.name if registered else dataclasses.asdict(profile)
+    }
     for field in _OPTION_FIELDS:
         value = getattr(options, field)
         if value != getattr(DEFAULT_OPTIONS, field):
@@ -294,24 +323,13 @@ def options_from_dict(data: Optional[dict[str, Any]]) -> CheckerOptions:
         return DEFAULT_OPTIONS
     if not isinstance(data, dict):
         raise _bad("'options' must be a JSON object")
-    fields: dict[str, Any] = {}
-    for key, value in data.items():
-        if key == "profile":
-            if value not in ct.PROFILES:
-                known = ", ".join(sorted(ct.PROFILES))
-                raise _bad(f"unknown profile {value!r}; expected one of {known}")
-            fields["profile"] = ct.PROFILES[value]
-            continue
-        expected = _OPTION_FIELDS.get(key)
-        if expected is None:
-            raise _bad(f"unknown option field {key!r}")
-        if expected is bool and not isinstance(value, bool):
-            raise _bad(f"option {key!r} must be a boolean")
-        if expected is int and (not isinstance(value, int) or isinstance(value, bool)):
-            raise _bad(f"option {key!r} must be an integer")
-        if expected is str and not isinstance(value, str):
-            raise _bad(f"option {key!r} must be a string")
-        fields[key] = value
+    fields = dict(data)
+    profile = fields.pop("profile", DEFAULT_OPTIONS.profile.name)
+    _scalars_from_wire(fields, _OPTION_FIELDS, "option")
+    if fields.get("engine", DEFAULT_OPTIONS.engine) not in ENGINES:
+        known = ", ".join(ENGINES)
+        raise _bad(f"unknown engine {fields['engine']!r}; expected one of {known}")
+    fields["profile"] = _profile_from_wire(profile)
     return CheckerOptions(**fields)
 
 

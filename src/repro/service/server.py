@@ -30,17 +30,16 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import repro
 from repro.api.batch import check_header, check_pair
 from repro.service import protocol
 from repro.service.pool import get_pool, pool_stats, shutdown_pool
 
-#: Programs per check chunk / cases per fuzz chunk: the granularity of
-#: progress frames and of cancellation.
+#: Programs per check chunk: the granularity of a check job's progress
+#: frames and cancellation (fuzz and campaign jobs use work units).
 CHECK_CHUNK = 4
-FUZZ_CHUNK = 8
 
 
 class _Job:
@@ -73,11 +72,6 @@ class _Connection:
         async with self._write_lock:
             self.writer.write(protocol.encode_frame(frame))
             await self.writer.drain()
-
-
-def _chunk_spans(total: int, size: int) -> Iterator[tuple[int, int]]:
-    for start in range(0, total, size):
-        yield start, min(start + size, total)
 
 
 class CheckService:
@@ -355,7 +349,8 @@ class CheckService:
             search_options,
         )
         pairs = request["sources"]
-        for start, stop in _chunk_spans(len(pairs), CHECK_CHUNK):
+        for start in range(0, len(pairs), CHECK_CHUNK):
+            stop = min(start + CHECK_CHUNK, len(pairs))
             if job.cancelled:
                 return
             reports = await self._run_chunk(check_pair, header, pairs[start:stop])
@@ -365,18 +360,52 @@ class CheckService:
                 )
             await connection.send(protocol.progress_frame(job.id, stop, len(pairs)))
 
+    async def _run_units(
+        self,
+        connection: _Connection,
+        job: _Job,
+        header: tuple,
+        units: Sequence[Any],
+        aggregate: Any,
+        progress: Callable[[], tuple[int, int]],
+    ) -> Optional[list[dict[str, Any]]]:
+        """Run units under ``header``, cancellable at each unit boundary.
+
+        Each unit result is folded into ``aggregate``, then streamed as a
+        ``campaign-progress`` snapshot and a ``progress`` frame whose
+        ``(done, total)`` comes from ``progress()``.  Returns the unit
+        results, or ``None`` when cancelled.
+        """
+        from repro.campaign.workunit import execute_unit
+
+        results = []
+        for unit in units:
+            if job.cancelled:
+                return None
+            chunk = await self._run_chunk(execute_unit, header, [unit.to_dict()])
+            results.append(chunk[0])
+            aggregate.add_unit(chunk[0])
+            await connection.send(
+                protocol.campaign_progress_frame(job.id, aggregate.snapshot()),
+            )
+            await connection.send(protocol.progress_frame(job.id, *progress()))
+        return results
+
     async def _job_fuzz(
         self,
         connection: _Connection,
         job: _Job,
         request: dict[str, Any],
     ) -> None:
+        from repro.campaign.aggregate import CampaignAggregate
+        from repro.campaign.workunit import campaign_units
         from repro.fuzz.campaign import (
             CampaignConfig,
-            examine_case,
+            campaign_spec,
+            case_records,
             finalize_campaign,
-            worker_config,
         )
+        from repro.service.pool import resolve_jobs
 
         started = time.perf_counter()
         config = CampaignConfig(
@@ -384,19 +413,20 @@ class CheckService:
             count=request["count"],
             inject=request["inject"],
         )
-        header = (worker_config(config), request["options"])
-        records = []
-        for start, stop in _chunk_spans(config.count, FUZZ_CHUNK):
-            if job.cancelled:
-                return
-            records.extend(
-                await self._run_chunk(examine_case, header, range(start, stop)),
-            )
-            await connection.send(protocol.progress_frame(job.id, stop, config.count))
+        options = request["options"]
+        spec = campaign_spec(config, options, workers=resolve_jobs(self.jobs))
+        units = campaign_units(spec)
+        agg = CampaignAggregate(spec.digest(), len(units))
+        header = (spec.to_dict(), None)
+        results = await self._run_units(
+            connection, job, header, units, agg, lambda: (agg.cases, config.count)
+        )
+        if results is None:
+            return
         result = finalize_campaign(
             config,
-            records,
-            options=request["options"],
+            case_records(results),
+            options=options,
             elapsed_seconds=time.perf_counter() - started,
         )
         await connection.send(protocol.result_frame(job.id, result.to_dict()))
@@ -425,39 +455,25 @@ class CheckService:
     ) -> None:
         """Partition and run a whole campaign, streaming aggregate snapshots.
 
-        Unit results fold into a :class:`CampaignAggregate` as they land;
-        every completed unit emits a ``campaign-progress`` frame — the
-        live results plane — and cancellation takes effect at the next
-        unit boundary.  No journal is written server-side: journaled,
-        resumable campaigns are the *client* scheduler's job (it dispatches
-        ``unit`` ops); this op is the convenience form for one-shot runs.
+        No journal is written server-side: journaled, resumable campaigns
+        are the *client* scheduler's job (it dispatches ``unit`` ops); this
+        op is the convenience form for one-shot runs.
         """
         from repro.campaign.aggregate import CampaignAggregate
-        from repro.campaign.workunit import (
-            CampaignSpec,
-            campaign_units,
-            execute_unit,
-        )
+        from repro.campaign.workunit import CampaignSpec, campaign_units
 
         spec = CampaignSpec.from_dict(request["spec"])
         loop = asyncio.get_running_loop()
         # Partitioning a search campaign runs the root program; keep the
         # event loop free while it does.
         units = await loop.run_in_executor(None, lambda: campaign_units(spec))
+        agg = CampaignAggregate(spec.digest(), len(units))
         header = (request["spec"], request.get("options_dict"))
-        aggregate = CampaignAggregate(spec.digest(), len(units))
-        for unit in units:
-            if job.cancelled:
-                return
-            results = await self._run_chunk(execute_unit, header, [unit.to_dict()])
-            aggregate.add_unit(results[0])
-            await connection.send(
-                protocol.campaign_progress_frame(job.id, aggregate.snapshot()),
-            )
-            await connection.send(
-                protocol.progress_frame(job.id, aggregate.units_done, len(units)),
-            )
-        await connection.send(protocol.result_frame(job.id, aggregate.to_dict()))
+        results = await self._run_units(
+            connection, job, header, units, agg, lambda: (agg.units_done, len(units))
+        )
+        if results is not None:
+            await connection.send(protocol.result_frame(job.id, agg.to_dict()))
 
     async def _job_search(
         self,
@@ -571,4 +587,4 @@ def serve_in_background(
             tempdir.cleanup()
 
 
-__all__ = ["CHECK_CHUNK", "FUZZ_CHUNK", "CheckService", "serve_in_background"]
+__all__ = ["CHECK_CHUNK", "CheckService", "serve_in_background"]

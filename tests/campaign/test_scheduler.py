@@ -43,6 +43,16 @@ def test_run_refuses_to_clobber_an_existing_journal(reference):
         run_campaign_spec(SPEC, path)
 
 
+def test_in_memory_run_matches_the_journaled_one(reference):
+    outcome, _ = reference
+    in_memory = run_campaign_spec(SPEC)
+    assert in_memory.journal_path is None
+    assert in_memory.executed == outcome.state.units_total
+    assert in_memory.to_dict() == outcome.to_dict()
+    for unit_id, result in outcome.state.results.items():
+        assert in_memory.state.results[unit_id]["records"] == result["records"]
+
+
 def test_resume_of_a_complete_campaign_executes_nothing(reference):
     outcome, path = reference
     resumed = resume_campaign(path)

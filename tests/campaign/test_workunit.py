@@ -142,6 +142,20 @@ class TestExecuteUnit:
             for family, row in result.family_table().items()
         }
 
+    def test_spec_options_apply_without_header_options(self):
+        # The remote backend and the service's campaign op send no header
+        # options; the spec's own options must still govern the unit.
+        spec = CampaignSpec(
+            seed=11, count=2, unit_size=2, inject="memory",
+            options={"check_memory": False},
+        )
+        unit = campaign_units(spec)[0].to_dict()
+        bare = execute_unit((spec.to_dict(), None), unit)
+        explicit = execute_unit((spec.to_dict(), spec.options), unit)
+        defaults = execute_unit((spec.to_dict(), {"check_memory": True}), unit)
+        assert bare["records"] == explicit["records"]
+        assert bare["records"] != defaults["records"]
+
     def test_unit_of_another_spec_is_rejected(self):
         spec = CampaignSpec(seed=11, count=4, unit_size=2)
         other = CampaignSpec(seed=12, count=4, unit_size=2)

@@ -6,12 +6,15 @@ import pytest
 
 from repro.api import Checker
 from repro.api.cli import main as cli_main
+from repro.campaign import CampaignError
 from repro.fuzz.campaign import (
     CampaignConfig,
+    campaign_spec,
     replay_corpus_entry,
     run_campaign,
 )
 from repro.fuzz.generator import GeneratorConfig
+from repro.service.pool import chunk_size
 
 SEED = 31337
 
@@ -29,6 +32,53 @@ def test_parallel_campaign_is_byte_identical_to_serial():
                                            jobs=4))
     assert _normalized(serial) == _normalized(parallel)
     assert serial.ok and parallel.ok
+
+
+def test_parallel_campaign_gets_one_unit_per_pool_chunk():
+    # Units follow the pool's chunk rule, so a 60-case jobs=4 run has 20
+    # units for 4 workers rather than 3 units of the spec default.
+    spec = campaign_spec(CampaignConfig(seed=SEED, count=60, jobs=4))
+    assert spec.unit_size == chunk_size(60, 4) == 3
+    assert spec.units_estimate() == 20
+
+
+def test_an_exception_in_a_case_surfaces_as_campaign_error(monkeypatch):
+    import repro.fuzz.campaign as campaign_module
+
+    calls = []
+
+    def broken_oracles(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("oracle stack on fire")
+
+    monkeypatch.setattr(campaign_module, "run_oracles", broken_oracles)
+    with pytest.raises(CampaignError) as caught:
+        run_campaign(CampaignConfig(seed=SEED, count=2))
+    assert isinstance(caught.value.__cause__, RuntimeError)
+    assert "on fire" in str(caught.value.__cause__)
+    # In memory there is nothing to resume, so nothing is retried.
+    assert len(calls) == 1
+
+
+def test_a_custom_profile_reaches_every_case():
+    # The options travel to the units in wire form; a profile that is not
+    # a registered one (here it even reuses the "lp64" name) must still be
+    # the profile every case is compiled under.
+    from repro.cfront.ctypes import ImplementationProfile
+    from repro.core.config import CheckerOptions
+    from repro.fuzz.campaign import examine_case
+
+    config = CampaignConfig(seed=SEED, count=6, inject="mixed")
+    options = CheckerOptions(profile=ImplementationProfile(sizeof_int=8))
+    result = Checker(options=options).fuzz(seed=SEED, count=6, inject="mixed")
+    direct = [
+        examine_case(SEED, index, config.inject, config.generator,
+                     config.oracles, options).to_dict()
+        for index in range(config.count)
+    ]
+    assert [record.to_dict() for record in result.records] == direct
+    default = run_campaign(config)
+    assert direct != [record.to_dict() for record in default.records]
 
 
 def test_campaign_records_are_ordered_and_complete():

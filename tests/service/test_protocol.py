@@ -1,5 +1,7 @@
 """Protocol layer: frame round-trips, validation, options serialization."""
 
+import dataclasses
+
 import pytest
 
 from repro.cfront import ctypes as ct
@@ -99,14 +101,49 @@ def test_options_round_trip_non_default_fields():
     assert protocol.options_from_dict(data) == options
 
 
+#: Non-default values for the option fields that are neither bool nor int.
+_ALTERNATE_VALUES = {
+    # Not a registered profile, though it reuses the "lp64" name: it must
+    # travel by its fields (the registered ones travel by name, above).
+    "profile": ct.ImplementationProfile(sizeof_int=8),
+    "engine": "walker",
+    "evaluation_order": "search",
+}
+
+
+def _alternate(name):
+    if name in _ALTERNATE_VALUES:
+        return _ALTERNATE_VALUES[name]
+    default = getattr(DEFAULT_OPTIONS, name)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    raise AssertionError(f"no non-default test value for option field {name!r}")
+
+
+@pytest.mark.parametrize(
+    "name", [field.name for field in dataclasses.fields(CheckerOptions)]
+)
+def test_every_option_field_survives_the_wire(name):
+    # Walks the dataclass, so a field added later cannot be dropped on the
+    # wire unnoticed.
+    options = CheckerOptions(**{name: _alternate(name)})
+    data = _round_trip(protocol.options_to_dict(options))
+    assert protocol.options_from_dict(data) == options
+
+
 @pytest.mark.parametrize(
     "data, match",
     [
         ({"profile": "pdp11"}, "unknown profile"),
+        ({"profile": {"endian": "big"}}, "unknown profile field 'endian'"),
+        ({"profile": {"sizeof_int": "8"}}, "must be an integer"),
         ({"frobnicate": True}, "unknown option field"),
         ({"check_memory": "yes"}, "must be a boolean"),
         ({"max_steps": True}, "must be an integer"),
         ({"evaluation_order": 3}, "must be a string"),
+        ({"engine": "jit"}, "unknown engine 'jit'"),
         ("not-a-dict", "must be a JSON object"),
     ],
 )

@@ -121,6 +121,25 @@ def test_mid_job_cancellation_stops_between_chunks(endpoint):
         assert client.check([PROGRAMS[0]])[0]["outcome"]["kind"] == "defined"
 
 
+def test_mid_job_fuzz_cancellation_stops_at_a_unit_boundary(endpoint):
+    count = 40
+    with ServiceClient(endpoint) as client:
+        job = client.next_job_id()
+        done = []
+
+        def on_event(frame):
+            if frame.get("event") == "progress":
+                done.append(frame["done"])
+                if len(done) == 1:
+                    client.cancel(job)
+
+        with pytest.raises(JobCancelled):
+            client.fuzz(seed=11, count=count, job=job, on_event=on_event)
+        assert done and done[-1] < count
+        # The connection survives a cancelled fuzz job.
+        assert client.ping() is True
+
+
 def test_malformed_requests_get_error_frames(endpoint):
     sock, reader = _raw_connection(endpoint)
     try:
